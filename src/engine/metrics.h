@@ -7,6 +7,7 @@
 #include "common/units.h"
 #include "exec/cost_model.h"
 #include "exec/hybrid_join.h"
+#include "exec/kernel_mode.h"
 #include "smart/runtime.h"
 #include "storage/types.h"
 
@@ -100,6 +101,9 @@ struct QueryStats {
   // Hybrid-join spill behavior on the smart path; all-zero when the
   // join stayed fully resident (or there was no join).
   exec::HybridJoinStats join_spill;
+  // The page kernel the scan actually ran: the configured kernel, or
+  // kScalar when the batch compiler could not express the query.
+  exec::KernelMode kernel = exec::KernelMode::kScalar;
 
   // Degraded execution: set when a pushdown session failed with a
   // retryable device error and the executor transparently re-ran the

@@ -371,6 +371,7 @@ StepOutcome HostQueryTask::StepFinish() {
   exec::OpCounts final_counts;
   const Status finished_ok = processor.Finish(&final_counts, &result_.rows);
   if (!finished_ok.ok()) return FailWith(finished_ok);
+  stats.kernel = processor.kernel_mode();
   const std::uint64_t final_cycles =
       exec::Cycles(final_counts, host_params_, outer.schema.num_columns(),
                    hash_entries_);
@@ -586,6 +587,7 @@ StepOutcome DeviceQueryTask::StepSession() {
   stats.counts =
       partial_ ? program_->CountsExcludingFinish() : program_->counts();
   stats.join_spill = program_->hybrid_stats();
+  stats.kernel = program_->kernel_mode();
   stats.pages_read = session.pages_processed;
   stats.pages_skipped = program_->pages_skipped();
   // Host-link traffic: result bytes plus one command round per
@@ -803,6 +805,7 @@ StepOutcome SplitScanTask::Merge() {
     stats.bytes_over_host_link += child.bytes_over_host_link;
     stats.host_cycles += child.host_cycles;
     stats.embedded_cycles += child.embedded_cycles;
+    stats.kernel = child.kernel;  // one database: every fragment agrees
     stats.device_attempts += child.device_attempts;
     stats.fell_back |= child.fell_back;
     if (child.fell_back && stats.fallback_reason.empty()) {

@@ -38,6 +38,12 @@ void Store64(std::byte* p, std::uint64_t v) {
   std::memcpy(p, &v, sizeof(v));
 }
 
+// memcpy of a possibly empty span: a zero-width join payload has no
+// storage (data() may be null), which memcpy must never be handed.
+void CopySpan(std::byte* dst, std::span<const std::byte> src) {
+  if (!src.empty()) std::memcpy(dst, src.data(), src.size());
+}
+
 }  // namespace
 
 HybridJoin::HybridJoin(const BoundQuery* bound,
@@ -46,7 +52,8 @@ HybridJoin::HybridJoin(const BoundQuery* bound,
     : bound_(bound),
       device_(device),
       config_(config),
-      page_size_(device->page_size()) {
+      page_size_(device->page_size()),
+      sketch_(config.hot_key_capacity) {
   SMARTSSD_CHECK(bound_->spec->join.has_value());
   SMARTSSD_CHECK_GT(config_.budget_bytes, 0u);
   SMARTSSD_CHECK_GT(config_.fanout, 1u);
@@ -59,6 +66,7 @@ HybridJoin::HybridJoin(const BoundQuery* bound,
   SMARTSSD_CHECK_LE(build_rec_width_, page_size_);
   SMARTSSD_CHECK_LE(probe_rec_width_, page_size_);
   partitions_.resize(config_.fanout);
+  record_.resize(std::max(build_rec_width_, probe_rec_width_));
 }
 
 std::uint32_t HybridJoin::PartitionOf(std::int64_t key,
@@ -137,9 +145,9 @@ Status HybridJoin::AppendRecord(PageFile* file,
   return Status::OK();
 }
 
-Status HybridJoin::ForEachRecord(
+Status HybridJoin::ForEachPage(
     const PageFile& file, std::uint32_t width,
-    const std::function<Status(const std::byte*)>& fn) {
+    const std::function<Status(const std::byte*, std::uint64_t)>& fn) {
   SMARTSSD_CHECK(file.buffer.empty());  // sealed
   const std::uint64_t per_page = page_size_ / width;
   std::uint64_t remaining = file.records;
@@ -152,17 +160,27 @@ Status HybridJoin::ForEachRecord(
       return CorruptionError("spill page vanished from the FTL");
     }
     // Copy before iterating: spill writes issued from inside `fn` (child
-    // partitions, GC relocations) may move the viewed flash page.
+    // partitions, GC relocations) may release the viewed flash page.
     read_buf_.assign(view.begin(), view.begin() + page_size_);
     const std::uint64_t n = std::min<std::uint64_t>(per_page, remaining);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      SMARTSSD_RETURN_IF_ERROR(fn(read_buf_.data() + i * width));
-    }
+    SMARTSSD_RETURN_IF_ERROR(fn(read_buf_.data(), n));
     remaining -= n;
     ++stats_.spill_pages_read;
     overhead_cycles_ += page_size_ / 16 + n * (width / 8 + 2);
   }
   return Status::OK();
+}
+
+Status HybridJoin::ForEachRecord(
+    const PageFile& file, std::uint32_t width,
+    const std::function<Status(const std::byte*)>& fn) {
+  return ForEachPage(file, width,
+                     [&](const std::byte* records, std::uint64_t n) {
+                       for (std::uint64_t i = 0; i < n; ++i) {
+                         SMARTSSD_RETURN_IF_ERROR(fn(records + i * width));
+                       }
+                       return Status::OK();
+                     });
 }
 
 // --- build phase -----------------------------------------------------
@@ -199,16 +217,17 @@ Status HybridJoin::AddBuildRow(std::int64_t key,
   Partition& p = partitions_[PartitionOf(key, 0)];
   ++p.build_rows;
   if (!p.resident) {
-    std::vector<std::byte> rec(build_rec_width_);
-    Store64(rec.data(), static_cast<std::uint64_t>(key));
-    std::memcpy(rec.data() + 8, payload.data(), payload.size());
+    Store64(record_.data(), static_cast<std::uint64_t>(key));
+    CopySpan(record_.data() + 8, payload);
     ++stats_.build_rows_spilled;
-    return AppendRecord(&p.build_file, rec);
+    return AppendRecord(&p.build_file,
+                        std::span<const std::byte>(record_.data(),
+                                                   build_rec_width_));
   }
   const std::size_t off = p.rows.size();
   p.rows.resize(off + build_rec_width_);
   Store64(p.rows.data() + off, static_cast<std::uint64_t>(key));
-  std::memcpy(p.rows.data() + off + 8, payload.data(), payload.size());
+  CopySpan(p.rows.data() + off + 8, payload);
   ++resident_rows_total_;
   // Keep the projected resident hash table inside the budget: evict
   // whole partitions, largest first, until it fits (or nothing is left).
@@ -294,36 +313,50 @@ Status HybridJoin::FinishBuild() {
 
 // --- probe phase -----------------------------------------------------
 
-std::uint64_t HybridJoin::SketchBump(std::int64_t key) {
-  auto it = sketch_.find(key);
-  if (it != sketch_.end()) return ++it->second;
-  // Space-saving: at capacity, the newcomer inherits (and increments)
-  // the smallest tracked count, so a genuine heavy hitter climbs fast
-  // even if it arrived late.
-  const std::size_t capacity =
-      std::max<std::size_t>(config_.hot_key_capacity, 1);
-  if (sketch_.size() < capacity) {
-    sketch_.emplace(key, 1);
-    return 1;
-  }
-  auto min_it = sketch_.begin();
-  for (auto i = sketch_.begin(); i != sketch_.end(); ++i) {
-    if (i->second < min_it->second) min_it = i;
-  }
-  const std::uint64_t count = min_it->second + 1;
-  sketch_.erase(min_it);
-  sketch_.emplace(key, count);
-  return count;
+SpaceSavingSketch::SpaceSavingSketch(std::uint32_t capacity)
+    : capacity_(std::max<std::uint32_t>(capacity, 1)) {
+  entries_.reserve(capacity_);
 }
 
-const std::byte* HybridJoin::HotPayload(
-    const std::optional<std::vector<std::byte>>& entry) const {
-  if (!entry.has_value()) return nullptr;  // confirmed absent
-  if (entry->empty()) {
+bool SpaceSavingSketch::Tracks(std::int64_t key) const {
+  return std::any_of(entries_.begin(), entries_.end(),
+                     [key](const Entry& e) { return e.key == key; });
+}
+
+std::uint64_t SpaceSavingSketch::Bump(std::int64_t key) {
+  for (Entry& e : entries_) {
+    if (e.key == key) return ++e.count;
+  }
+  if (entries_.size() < capacity_) {
+    entries_.push_back(Entry{key, 1});
+    return 1;
+  }
+  Entry* victim = &entries_.front();
+  for (Entry& e : entries_) {
+    if (e.count < victim->count ||
+        (e.count == victim->count && e.key < victim->key)) {
+      victim = &e;
+    }
+  }
+  *victim = Entry{key, victim->count + 1};
+  return victim->count;
+}
+
+const HybridJoin::HotKey* HybridJoin::FindHot(std::int64_t key) const {
+  for (const HotKey& hot : hot_) {
+    if (hot.key == key) return &hot;
+  }
+  return nullptr;
+}
+
+const std::byte* HybridJoin::HotPayload(const HotKey& hot) const {
+  if (!hot.payload.has_value()) return nullptr;  // confirmed absent
+  if (hot.payload->empty()) {
     static constexpr std::byte kEmptyPayload{};
     return &kEmptyPayload;
   }
-  return entry->data();
+  // Stable while hot_ grows: moving a HotKey moves the vector's buffer.
+  return hot.payload->data();
 }
 
 Status HybridJoin::Promote(std::int64_t key, Partition& partition) {
@@ -339,18 +372,16 @@ Status HybridJoin::Promote(std::int64_t key, Partition& partition) {
         }
         return Status::OK();
       }));
-  hot_.emplace(key, std::move(found));
+  hot_.push_back(HotKey{key, std::move(found)});
   ++stats_.hot_keys_pinned;
   NotePeak(0);
   return Status::OK();
 }
 
-Result<HybridJoin::ProbeResult> HybridJoin::Probe(
-    std::int64_t key,
-    const std::function<const std::byte*(int col)>& outer_col_bytes,
-    OpCounts* counts) {
+Result<HybridJoin::KeyProbe> HybridJoin::ProbeKey(std::int64_t key,
+                                                  OpCounts* counts) {
   SMARTSSD_CHECK(build_finished_);
-  ProbeResult result;
+  KeyProbe result;
   result.seq = next_seq_++;
   Partition& p = partitions_[PartitionOf(key, 0)];
   if (p.resident) {
@@ -358,62 +389,42 @@ Result<HybridJoin::ProbeResult> HybridJoin::Probe(
     result.payload = resident_table_->Probe(key);
     return result;
   }
-  const auto hot = hot_.find(key);
-  if (hot != hot_.end()) {
+  if (const HotKey* hot = FindHot(key); hot != nullptr) {
     ++counts->probes;
     ++stats_.hot_hits;
-    result.payload = HotPayload(hot->second);
+    result.payload = HotPayload(*hot);
     return result;
   }
-  if (SketchBump(key) >= config_.hot_key_threshold &&
+  if (sketch_.Bump(key) >= config_.hot_key_threshold &&
       hot_.size() < config_.hot_key_capacity) {
     SMARTSSD_RETURN_IF_ERROR(Promote(key, p));
     ++counts->probes;
     ++stats_.hot_hits;
-    result.payload = HotPayload(hot_.find(key)->second);
+    result.payload = HotPayload(hot_.back());
     return result;
   }
-  // Defer: materialize the outer row (NSM layout) into the partition's
-  // probe file, tagged with its scan position.
-  std::vector<std::byte> rec(probe_rec_width_);
-  Store64(rec.data(), result.seq);
-  const storage::Schema& schema = bound_->outer->schema;
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    std::memcpy(rec.data() + 8 + schema.offset(c), outer_col_bytes(c),
-                schema.column(c).width);
-  }
-  SMARTSSD_RETURN_IF_ERROR(AppendRecord(&p.probe_file, rec));
-  ++stats_.probe_rows_spilled;
   result.deferred = true;
   return result;
 }
 
-void HybridJoin::BufferMatchRaw(std::uint64_t seq,
-                                const std::byte* outer_row,
-                                const std::byte* payload) {
+Status HybridJoin::Defer(std::int64_t key, std::uint64_t seq,
+                         const std::byte* outer_row) {
+  Partition& p = partitions_[PartitionOf(key, 0)];
+  SMARTSSD_CHECK(!p.resident);
+  Store64(record_.data(), seq);
+  std::memcpy(record_.data() + 8, outer_row, outer_row_width_);
+  SMARTSSD_RETURN_IF_ERROR(AppendRecord(
+      &p.probe_file,
+      std::span<const std::byte>(record_.data(), probe_rec_width_)));
+  ++stats_.probe_rows_spilled;
+  return Status::OK();
+}
+
+void HybridJoin::BufferMatch(std::uint64_t seq, const std::byte* outer_row,
+                             const std::byte* payload) {
   const std::uint64_t offset = match_arena_.size();
   match_arena_.insert(match_arena_.end(), outer_row,
                       outer_row + outer_row_width_);
-  if (bound_->payload_width > 0) {
-    match_arena_.insert(match_arena_.end(), payload,
-                        payload + bound_->payload_width);
-  }
-  matches_.push_back(Match{seq, offset});
-  overhead_cycles_ += (outer_row_width_ + bound_->payload_width) / 8 + 2;
-  NotePeak(0);
-}
-
-void HybridJoin::BufferMatch(
-    std::uint64_t seq,
-    const std::function<const std::byte*(int col)>& outer_col_bytes,
-    const std::byte* payload) {
-  const storage::Schema& schema = bound_->outer->schema;
-  const std::uint64_t offset = match_arena_.size();
-  match_arena_.resize(offset + outer_row_width_);
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    std::memcpy(match_arena_.data() + offset + schema.offset(c),
-                outer_col_bytes(c), schema.column(c).width);
-  }
   if (bound_->payload_width > 0) {
     match_arena_.insert(match_arena_.end(), payload,
                         payload + bound_->payload_width);
@@ -427,7 +438,7 @@ void HybridJoin::BufferMatch(
 
 Status HybridJoin::ResolveFiles(PageFile build, PageFile probe,
                                 std::uint32_t level, OpCounts* counts,
-                                const Deliver& deliver) {
+                                const MatchSink& deliver) {
   stats_.passes = std::max(stats_.passes, level + 1);
   if (JoinHashTable::EstimateBytes(build.records, bound_->payload_width) <=
       config_.budget_bytes) {
@@ -440,14 +451,25 @@ Status HybridJoin::ResolveFiles(PageFile build, PageFile probe,
               std::span<const std::byte>(rec + 8, bound_->payload_width));
         }));
     NotePeak(table.memory_bytes());
-    return ForEachRecord(
-        probe, probe_rec_width_, [&](const std::byte* rec) -> Status {
-          const std::uint64_t seq = Load64(rec);
-          const std::byte* row = rec + 8;
-          ++counts->probes;
-          const std::byte* payload = table.Probe(KeyFromOuterRow(row));
-          if (payload == nullptr) return Status::OK();
-          return deliver(seq, row, payload);
+    return ForEachPage(
+        probe, probe_rec_width_,
+        [&](const std::byte* records, std::uint64_t n) -> Status {
+          batch_seqs_.clear();
+          batch_rows_.clear();
+          batch_payloads_.clear();
+          for (std::uint64_t i = 0; i < n; ++i) {
+            const std::byte* rec = records + i * probe_rec_width_;
+            const std::byte* row = rec + 8;
+            ++counts->probes;
+            const std::byte* payload = table.Probe(KeyFromOuterRow(row));
+            if (payload == nullptr) continue;
+            batch_seqs_.push_back(Load64(rec));
+            batch_rows_.push_back(row);
+            batch_payloads_.push_back(payload);
+          }
+          if (batch_seqs_.empty()) return Status::OK();
+          return deliver(
+              MatchBatch{batch_seqs_, batch_rows_, batch_payloads_});
         });
   }
   if (level >= config_.max_depth) {
@@ -483,7 +505,7 @@ Status HybridJoin::ResolveFiles(PageFile build, PageFile probe,
   return Status::OK();
 }
 
-Status HybridJoin::Resolve(OpCounts* counts, const Deliver& deliver) {
+Status HybridJoin::Resolve(OpCounts* counts, const MatchSink& deliver) {
   SMARTSSD_CHECK(build_finished_);
   if (!any_spilled()) return Status::OK();
   // Scan-side probing is over: retiring the resident table frees the
@@ -501,17 +523,31 @@ Status HybridJoin::Resolve(OpCounts* counts, const Deliver& deliver) {
   return Status::OK();
 }
 
-Status HybridJoin::ReplayOrdered(const Replay& replay) {
+Status HybridJoin::ReplayOrdered(const MatchSink& replay) {
+  // Replay batch size: large enough to amortize the sink's per-batch
+  // setup, small enough to keep the pointer arrays cache-resident.
+  constexpr std::size_t kReplayBatch = 1024;
   std::sort(matches_.begin(), matches_.end(),
             [](const Match& a, const Match& b) { return a.seq < b.seq; });
   overhead_cycles_ += matches_.size() * 4;
   static constexpr std::byte kEmptyPayload{};
-  for (const Match& m : matches_) {
-    const std::byte* row = match_arena_.data() + m.offset;
-    const std::byte* payload = bound_->payload_width > 0
-                                   ? row + outer_row_width_
-                                   : &kEmptyPayload;
-    SMARTSSD_RETURN_IF_ERROR(replay(row, payload));
+  for (std::size_t begin = 0; begin < matches_.size();
+       begin += kReplayBatch) {
+    const std::size_t end =
+        std::min(matches_.size(), begin + kReplayBatch);
+    batch_seqs_.clear();
+    batch_rows_.clear();
+    batch_payloads_.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::byte* row = match_arena_.data() + matches_[i].offset;
+      batch_seqs_.push_back(matches_[i].seq);
+      batch_rows_.push_back(row);
+      batch_payloads_.push_back(bound_->payload_width > 0
+                                    ? row + outer_row_width_
+                                    : &kEmptyPayload);
+    }
+    SMARTSSD_RETURN_IF_ERROR(
+        replay(MatchBatch{batch_seqs_, batch_rows_, batch_payloads_}));
   }
   matches_.clear();
   match_arena_.clear();

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -67,6 +66,29 @@ struct HybridJoinConfig {
   std::uint32_t hot_key_threshold = 32;  // sketch count before pinning
 };
 
+// Space-saving heavy-hitter sketch (Metwally et al.) over a fixed number
+// of counters, kept as a flat array: the hybrid join's counter set is a
+// handful of entries, so a linear scan beats any ordered container.
+// When a new key arrives at capacity it replaces the victim — the lowest
+// count, ties going to the smallest key — and inherits that count plus
+// one, so a genuine heavy hitter climbs fast even if it arrived late.
+class SpaceSavingSketch {
+ public:
+  explicit SpaceSavingSketch(std::uint32_t capacity);
+
+  // Counts one occurrence of `key`; returns its (over-)estimated count.
+  std::uint64_t Bump(std::int64_t key);
+  bool Tracks(std::int64_t key) const;
+
+ private:
+  struct Entry {
+    std::int64_t key = 0;
+    std::uint64_t count = 0;
+  };
+  std::size_t capacity_;
+  std::vector<Entry> entries_;
+};
+
 struct HybridJoinStats {
   std::uint32_t partitions_spilled = 0;
   std::uint32_t passes = 1;  // 1 = fully resident, 2 = one spill pass...
@@ -76,6 +98,9 @@ struct HybridJoinStats {
   std::uint64_t spill_pages_read = 0;
   std::uint64_t hot_keys_pinned = 0;
   std::uint64_t hot_hits = 0;
+
+  friend bool operator==(const HybridJoinStats&,
+                         const HybridJoinStats&) = default;
 };
 
 class HybridJoin {
@@ -102,41 +127,46 @@ class HybridJoin {
   }
 
   // --- probe phase (outer scan) --------------------------------------
-  struct ProbeResult {
-    bool deferred = false;               // tuple spilled; resolve later
+  struct KeyProbe {
+    bool deferred = false;               // partition spilled; call Defer
     const std::byte* payload = nullptr;  // probe hit (when !deferred)
     std::uint64_t seq = 0;               // scan-order position
   };
-  // The caller has read (and charged) the FK. Resident/hot keys probe
-  // now (charging counts->probes); spilled partitions materialize the
-  // outer row via `outer_col_bytes` into the partition's probe file.
-  Result<ProbeResult> Probe(
-      std::int64_t key,
-      const std::function<const std::byte*(int col)>& outer_col_bytes,
-      OpCounts* counts);
+  // The caller has read (and charged) the FK. Resident, pinned and
+  // sketch-promoted keys probe now (charging counts->probes); a key whose
+  // partition spilled comes back `deferred`, and the caller must hand
+  // the tuple to Defer() before probing the next one.
+  Result<KeyProbe> ProbeKey(std::int64_t key, OpCounts* counts);
+  // Spills a deferred tuple into its partition's probe file, tagged with
+  // its scan position. `outer_row` is the tuple materialized in the
+  // outer schema's NSM layout (its tuple_size() bytes).
+  Status Defer(std::int64_t key, std::uint64_t seq,
+               const std::byte* outer_row);
 
   // Stages a confirmed match for ordered replay (ordered() mode only).
-  // The outer row and payload are copied into the staging arena.
-  void BufferMatch(
-      std::uint64_t seq,
-      const std::function<const std::byte*(int col)>& outer_col_bytes,
-      const std::byte* payload);
-  void BufferMatchRaw(std::uint64_t seq, const std::byte* outer_row,
-                      const std::byte* payload);
+  // The NSM outer row and the payload are copied into the staging arena.
+  void BufferMatch(std::uint64_t seq, const std::byte* outer_row,
+                   const std::byte* payload);
+
+  // Matches handed back by Resolve and ReplayOrdered: parallel arrays of
+  // scan position, NSM outer row and payload. Pointers are valid only
+  // for the duration of the callback.
+  struct MatchBatch {
+    std::span<const std::uint64_t> seqs;
+    std::span<const std::byte* const> rows;
+    std::span<const std::byte* const> payloads;
+    std::size_t size() const { return seqs.size(); }
+  };
+  using MatchSink = std::function<Status(const MatchBatch& batch)>;
 
   // --- resolve (multi-pass probing, during Finish) -------------------
-  // Resolves every spilled partition, invoking `deliver` for each match
-  // (seq, materialized outer row in NSM layout, payload). Pointers are
-  // valid only for the duration of the callback.
-  using Deliver = std::function<Status(
-      std::uint64_t seq, const std::byte* outer_row,
-      const std::byte* payload)>;
-  Status Resolve(OpCounts* counts, const Deliver& deliver);
+  // Resolves every spilled partition, handing each probe spill page's
+  // matches to `deliver` as one batch.
+  Status Resolve(OpCounts* counts, const MatchSink& deliver);
 
-  // Replays the staged matches in scan order (after Resolve).
-  using Replay = std::function<Status(const std::byte* outer_row,
-                                      const std::byte* payload)>;
-  Status ReplayOrdered(const Replay& replay);
+  // Replays the staged matches in scan order (after Resolve), in
+  // batches of consecutive seqs.
+  Status ReplayOrdered(const MatchSink& replay);
 
   const HybridJoinStats& stats() const { return stats_; }
   // Entries in the resident table (probe-cost tier for the cycle model).
@@ -175,6 +205,12 @@ class HybridJoin {
     std::uint64_t seq = 0;
     std::uint64_t offset = 0;  // into match_arena_
   };
+  // A pinned heavy hitter: its build payload, or nullopt when the key is
+  // confirmed absent from the build side.
+  struct HotKey {
+    std::int64_t key = 0;
+    std::optional<std::vector<std::byte>> payload;
+  };
 
   std::uint32_t PartitionOf(std::int64_t key, std::uint32_t level) const;
   std::int64_t KeyFromOuterRow(const std::byte* row) const;
@@ -184,17 +220,20 @@ class HybridJoin {
   Status AppendRecord(PageFile* file, std::span<const std::byte> record);
   Status FlushPage(PageFile* file);
   Status SealFile(PageFile* file) { return FlushPage(file); }
-  // Streams a sealed file's records through `fn`. Each page is copied
-  // into a local buffer first: spill writes issued from inside `fn`
-  // (child partitions, GC relocations) may move the viewed flash page.
+  // Streams a sealed file page by page through `fn(records, n)`. Each
+  // page is copied into a local buffer first: spill writes issued from
+  // inside `fn` (child partitions, GC relocations) may release the
+  // viewed flash page.
+  Status ForEachPage(
+      const PageFile& file, std::uint32_t width,
+      const std::function<Status(const std::byte*, std::uint64_t)>& fn);
   Status ForEachRecord(const PageFile& file, std::uint32_t width,
                        const std::function<Status(const std::byte*)>& fn);
   Status ResolveFiles(PageFile build, PageFile probe, std::uint32_t level,
-                      OpCounts* counts, const Deliver& deliver);
-  std::uint64_t SketchBump(std::int64_t key);
+                      OpCounts* counts, const MatchSink& deliver);
   Status Promote(std::int64_t key, Partition& partition);
-  const std::byte* HotPayload(
-      const std::optional<std::vector<std::byte>>& entry) const;
+  const HotKey* FindHot(std::int64_t key) const;
+  const std::byte* HotPayload(const HotKey& hot) const;
   void NotePeak(std::uint64_t extra);
 
   const BoundQuery* bound_;
@@ -217,14 +256,19 @@ class HybridJoin {
 
   // Skew handling: space-saving sketch over probe keys; pinned heavy
   // hitters carry their build payload (or confirmed absence) resident.
-  std::map<std::int64_t, std::uint64_t> sketch_;
-  std::map<std::int64_t, std::optional<std::vector<std::byte>>> hot_;
+  SpaceSavingSketch sketch_;
+  std::vector<HotKey> hot_;
 
   // Ordered staging: (seq, outer row bytes ++ payload bytes).
   std::vector<Match> matches_;
   std::vector<std::byte> match_arena_;
 
+  std::vector<std::byte> record_;    // one spill record being formatted
   std::vector<std::byte> read_buf_;  // stable copy of one spill page
+  // One batch of matches on its way to a MatchSink.
+  std::vector<std::uint64_t> batch_seqs_;
+  std::vector<const std::byte*> batch_rows_;
+  std::vector<const std::byte*> batch_payloads_;
   std::uint64_t overhead_cycles_ = 0;
   std::uint64_t dram_peak_ = 0;
 };

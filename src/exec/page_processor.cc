@@ -147,8 +147,10 @@ PageProcessor::PageProcessor(const BoundQuery* bound,
     }
   }
 
-  if (mode == KernelMode::kVectorized && hybrid_ == nullptr &&
-      CompileKernels()) {
+  if (hybrid_ != nullptr) {
+    outer_row_.resize(bound->outer->schema.tuple_size());
+  }
+  if (mode == KernelMode::kVectorized && CompileKernels()) {
     mode_ = KernelMode::kVectorized;
   } else {
     pred_compiled_.reset();
@@ -281,10 +283,13 @@ Status PageProcessor::HandleTuple(
     const std::int64_t key =
         outer_view.GetColumn(spec.join->outer_key_col).AsInt();
     if (hybrid_ != nullptr) {
-      SMARTSSD_ASSIGN_OR_RETURN(
-          const HybridJoin::ProbeResult result,
-          hybrid_->Probe(key, outer_col_bytes, counts));
-      if (result.deferred) return false;
+      SMARTSSD_ASSIGN_OR_RETURN(const HybridJoin::KeyProbe result,
+                                hybrid_->ProbeKey(key, counts));
+      if (result.deferred) {
+        SMARTSSD_RETURN_IF_ERROR(hybrid_->Defer(
+            key, result.seq, GatherOuterRow(outer_col_bytes)));
+        return false;
+      }
       seq = result.seq;
       payload = result.payload;
     } else {
@@ -319,10 +324,20 @@ Status PageProcessor::HandleTuple(
   // resolved matches interleave exactly as the unconstrained join
   // emits them.
   if (hybrid_ != nullptr && hybrid_->ordered()) {
-    hybrid_->BufferMatch(seq, outer_col_bytes, payload);
+    hybrid_->BufferMatch(seq, GatherOuterRow(outer_col_bytes), payload);
     return Status::OK();
   }
   return SinkJoinedRow(outer_view, outer_col_bytes, payload, counts, out);
+}
+
+const std::byte* PageProcessor::GatherOuterRow(
+    const std::function<const std::byte*(int col)>& outer_col_bytes) {
+  const storage::Schema& schema = bound_->outer->schema;
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    std::memcpy(outer_row_.data() + schema.offset(c), outer_col_bytes(c),
+                schema.column(c).width);
+  }
+  return outer_row_.data();
 }
 
 Status PageProcessor::SinkJoinedRow(
@@ -543,9 +558,11 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
         pred_compiled_->Filter(in, &sel_, &scratch_, &counts->eval);
       }
     }
-    if (spec.join.has_value()) ProbeBatch(n, counts);
+    if (spec.join.has_value()) {
+      SMARTSSD_RETURN_IF_ERROR(ProbeBatch(n, counts));
+    }
   } else {
-    ProbeBatch(n, counts);
+    SMARTSSD_RETURN_IF_ERROR(ProbeBatch(n, counts));
     if (pred_compiled_.has_value()) {
       switch (page_class) {
         case PageClass::kAllPass:
@@ -563,22 +580,52 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
       }
     }
   }
+  // Order-sensitive output with spilled partitions: stage the matches
+  // with their scan positions for the replay at Finish.
+  if (hybrid_ != nullptr && hybrid_->ordered()) {
+    for (const std::uint32_t row : sel_) {
+      hybrid_->BufferMatch(row_seq_[row], OuterRowAt(row),
+                           payload_ptrs_[row]);
+    }
+    return Status::OK();
+  }
   return SinkBatch(in, counts, out);
 }
 
-void PageProcessor::ProbeBatch(std::uint32_t rows, OpCounts* counts) {
+Status PageProcessor::ProbeBatch(std::uint32_t rows, OpCounts* counts) {
   const JoinSpec& join = *bound_->spec->join;
   const expr::BatchColumn& fk =
       batch_columns_[static_cast<std::size_t>(join.outer_key_col)];
   counts->eval.column_reads += sel_.size();  // FK read per probed row
-  counts->probes += sel_.size();
   payload_ptrs_.resize(rows);
   std::size_t w = 0;
-  for (const std::uint32_t row : sel_) {
-    const std::byte* hit = hash_table_->Probe(LoadIntLane(fk, row));
-    if (hit == nullptr) continue;
-    payload_ptrs_[row] = hit;
-    sel_[w++] = row;
+  if (hybrid_ == nullptr) {
+    counts->probes += sel_.size();
+    for (const std::uint32_t row : sel_) {
+      const std::byte* hit = hash_table_->Probe(LoadIntLane(fk, row));
+      if (hit == nullptr) continue;
+      payload_ptrs_[row] = hit;
+      sel_[w++] = row;
+    }
+  } else {
+    // Lane by lane in scan order: each probe may bump the sketch, pin a
+    // heavy hitter or spill the tuple, exactly as the scalar kernel's
+    // per-tuple probe does, so seqs, spill I/O and counts line up.
+    row_seq_.resize(rows);
+    for (const std::uint32_t row : sel_) {
+      const std::int64_t key = LoadIntLane(fk, row);
+      SMARTSSD_ASSIGN_OR_RETURN(const HybridJoin::KeyProbe probe,
+                                hybrid_->ProbeKey(key, counts));
+      if (probe.deferred) {
+        SMARTSSD_RETURN_IF_ERROR(
+            hybrid_->Defer(key, probe.seq, OuterRowAt(row)));
+        continue;
+      }
+      if (probe.payload == nullptr) continue;
+      payload_ptrs_[row] = probe.payload;
+      row_seq_[row] = probe.seq;
+      sel_[w++] = row;
+    }
   }
   sel_.resize(w);
   // payload_ptrs_ may have reallocated: (re)point the payload columns.
@@ -587,6 +634,21 @@ void PageProcessor::ProbeBatch(std::uint32_t rows, OpCounts* counts) {
     batch_columns_[static_cast<std::size_t>(c)].row_ptrs =
         payload_ptrs_.data();
   }
+  return Status::OK();
+}
+
+const std::byte* PageProcessor::OuterRowAt(std::uint32_t row) {
+  if (bound_->outer->layout == storage::PageLayout::kNsm) {
+    return tuple_ptrs_[row];
+  }
+  const storage::Schema& schema = bound_->outer->schema;
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    const expr::BatchColumn& col =
+        batch_columns_[static_cast<std::size_t>(c)];
+    std::memcpy(outer_row_.data() + schema.offset(c), col.at(row),
+                col.width);
+  }
+  return outer_row_.data();
 }
 
 Status PageProcessor::SinkBatch(const expr::BatchInput& in,
@@ -702,46 +764,82 @@ Status PageProcessor::SinkBatch(const expr::BatchInput& in,
   return Status::OK();
 }
 
-Status PageProcessor::FinishHybrid(OpCounts* counts,
-                                   std::vector<std::byte>* out) {
+Status PageProcessor::SinkMatches(const HybridJoin::MatchBatch& batch,
+                                  bool resolved, OpCounts* counts,
+                                  std::vector<std::byte>* out) {
   const QuerySpec& spec = *bound_->spec;
   const storage::Schema& schema = bound_->outer->schema;
-  // Resolve spilled partitions: each deferred tuple arrives back as a
-  // materialized NSM outer row plus its matched payload.
-  auto deliver = [&](std::uint64_t seq, const std::byte* row,
-                     const std::byte* payload) -> Status {
-    expr::NsmRowView view(&schema, row);
-    auto col_bytes = [&](int col) -> const std::byte* {
-      return row + schema.offset(col);
-    };
-    // Probe-first deferred tuples still owe the predicate (it needs the
-    // payload); filter-first tuples passed it before they spilled.
-    if (spec.order == PipelineOrder::kProbeFirst &&
-        spec.predicate != nullptr) {
-      CombinedRowView combined(bound_, &view);
-      combined.SetPayload(payload);
-      if (!spec.predicate->Evaluate(combined, &counts->eval).AsBool()) {
-        return Status::OK();
+  // Probe-first deferred tuples still owe the predicate (it needs the
+  // payload); filter-first tuples passed it before they spilled.
+  const bool owes_predicate = resolved &&
+                              spec.order == PipelineOrder::kProbeFirst &&
+                              spec.predicate != nullptr;
+  const bool stage = resolved && hybrid_->ordered();
+  if (mode_ == KernelMode::kScalar) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::byte* row = batch.rows[i];
+      expr::NsmRowView view(&schema, row);
+      if (owes_predicate) {
+        CombinedRowView combined(bound_, &view);
+        combined.SetPayload(batch.payloads[i]);
+        if (!spec.predicate->Evaluate(combined, &counts->eval).AsBool()) {
+          continue;
+        }
       }
+      if (stage) {
+        hybrid_->BufferMatch(batch.seqs[i], row, batch.payloads[i]);
+        continue;
+      }
+      auto col_bytes = [&](int col) -> const std::byte* {
+        return row + schema.offset(col);
+      };
+      SMARTSSD_RETURN_IF_ERROR(SinkJoinedRow(view, col_bytes,
+                                             batch.payloads[i], counts,
+                                             out));
     }
-    if (hybrid_->ordered()) {
-      hybrid_->BufferMatchRaw(seq, row, payload);
-      return Status::OK();
-    }
-    return SinkJoinedRow(view, col_bytes, payload, counts, out);
-  };
-  SMARTSSD_RETURN_IF_ERROR(hybrid_->Resolve(counts, deliver));
-  if (hybrid_->ordered()) {
-    SMARTSSD_RETURN_IF_ERROR(hybrid_->ReplayOrdered(
-        [&](const std::byte* row, const std::byte* payload) -> Status {
-          expr::NsmRowView view(&schema, row);
-          auto col_bytes = [&](int col) -> const std::byte* {
-            return row + schema.offset(col);
-          };
-          return SinkJoinedRow(view, col_bytes, payload, counts, out);
-        }));
+    return Status::OK();
   }
-  return Status::OK();
+  // Vectorized: the matches form one NSM row-pointer batch.
+  const int outer_cols = schema.num_columns();
+  for (int c = 0; c < outer_cols; ++c) {
+    expr::BatchColumn& col = batch_columns_[static_cast<std::size_t>(c)];
+    col.base = nullptr;
+    col.row_ptrs = batch.rows.data();
+    col.offset = schema.offset(c);
+  }
+  const int combined_cols = bound_->combined_schema.num_columns();
+  for (int c = outer_cols; c < combined_cols; ++c) {
+    batch_columns_[static_cast<std::size_t>(c)].row_ptrs =
+        batch.payloads.data();
+  }
+  sel_.resize(batch.size());
+  for (std::uint32_t i = 0; i < sel_.size(); ++i) sel_[i] = i;
+  const expr::BatchInput in{batch_columns_.data(), combined_cols};
+  if (owes_predicate) {
+    pred_compiled_->Filter(in, &sel_, &scratch_, &counts->eval);
+  }
+  if (stage) {
+    for (const std::uint32_t i : sel_) {
+      hybrid_->BufferMatch(batch.seqs[i], batch.rows[i],
+                           batch.payloads[i]);
+    }
+    return Status::OK();
+  }
+  return SinkBatch(in, counts, out);
+}
+
+Status PageProcessor::FinishHybrid(OpCounts* counts,
+                                   std::vector<std::byte>* out) {
+  // Resolve spilled partitions: deferred tuples come back as
+  // materialized NSM outer rows plus their matched payloads.
+  SMARTSSD_RETURN_IF_ERROR(hybrid_->Resolve(
+      counts, [&](const HybridJoin::MatchBatch& batch) {
+        return SinkMatches(batch, /*resolved=*/true, counts, out);
+      }));
+  if (!hybrid_->ordered()) return Status::OK();
+  return hybrid_->ReplayOrdered([&](const HybridJoin::MatchBatch& batch) {
+    return SinkMatches(batch, /*resolved=*/false, counts, out);
+  });
 }
 
 Status PageProcessor::Finish(OpCounts* counts, std::vector<std::byte>* out) {

@@ -14,13 +14,12 @@
 #include "exec/cost_model.h"
 #include "exec/group_table.h"
 #include "exec/hash_table.h"
+#include "exec/hybrid_join.h"
 #include "exec/kernel_mode.h"
 #include "exec/query_spec.h"
 #include "expr/batch.h"
 
 namespace smartssd::exec {
-
-class HybridJoin;
 
 // Executes a bound query pipeline over one page at a time, producing
 // real output rows and the operation counts the cost models charge.
@@ -40,17 +39,18 @@ class HybridJoin;
 //    predicate/aggregate expressions are compiled once into flat batch
 //    programs (expr/batch.h), and every stage runs column-at-a-time over
 //    a selection vector of surviving row ids.
-// Both produce byte-identical output and byte-identical OpCounts; a
-// query the batch compiler cannot express silently degrades to kScalar
-// (see kernel_mode()).
+// Both produce byte-identical output and byte-identical OpCounts; only
+// a query whose expressions the batch compiler cannot express runs the
+// scalar kernel instead (see kernel_mode()). Both kernels run the
+// memory-constrained hybrid join too: deferral and ordered staging
+// happen lane by lane inside the batch probe, in scan order, so the
+// join sees the same call sequence from either kernel.
 class PageProcessor {
  public:
   // `hash_table` must outlive the processor and is required iff the
   // query has a join — unless `hybrid` is supplied instead, in which
-  // case probes route through the memory-constrained hybrid join (and
-  // the kernel degrades to kScalar: deferral is a per-row decision the
-  // batch probe cannot express). Exactly one of the two may be set for
-  // a join query.
+  // case probes route through the memory-constrained hybrid join.
+  // Exactly one of the two may be set for a join query.
   PageProcessor(const BoundQuery* bound, const JoinHashTable* hash_table,
                 KernelMode mode = KernelMode::kVectorized,
                 HybridJoin* hybrid = nullptr);
@@ -108,6 +108,10 @@ class PageProcessor {
       const expr::RowView& outer_view,
       const std::function<const std::byte*(int col)>& outer_col_bytes,
       OpCounts* counts, std::vector<std::byte>* out);
+  // Copies the outer tuple into outer_row_ in NSM layout (what the
+  // hybrid join spills and stages).
+  const std::byte* GatherOuterRow(
+      const std::function<const std::byte*(int col)>& outer_col_bytes);
 
   // Copies the raw bytes of combined-row columns (outer or payload) to
   // `out`, counting the outer column reads.
@@ -134,6 +138,11 @@ class PageProcessor {
   // and, for order-sensitive queries, replays all staged matches in
   // scan order. Called from Finish() before the final rows are emitted.
   Status FinishHybrid(OpCounts* counts, std::vector<std::byte>* out);
+  // Sinks one batch of hybrid-join matches (NSM outer rows + payloads).
+  // Resolved matches (`resolved`) still owe a probe-first predicate and,
+  // in ordered mode, are staged rather than sunk; replayed ones sink.
+  Status SinkMatches(const HybridJoin::MatchBatch& batch, bool resolved,
+                     OpCounts* counts, std::vector<std::byte>* out);
 
   // --- vectorized kernel ---
   // Compiles predicate + aggregate inputs; false => fall back to scalar.
@@ -141,10 +150,15 @@ class PageProcessor {
   Status ProcessPageVectorized(std::span<const std::byte> page,
                                std::uint64_t page_index, OpCounts* counts,
                                std::vector<std::byte>* out);
-  // Probes the join hash table for every lane of sel_, keeps the hits,
-  // and repoints the payload batch columns. `rows` is the page's tuple
-  // count (payload pointers are indexed by row id).
-  void ProbeBatch(std::uint32_t rows, OpCounts* counts);
+  // Probes the join for every lane of sel_ in scan order, keeps the
+  // hits, and repoints the payload batch columns. Hybrid-join lanes in
+  // spilled partitions are deferred (materialized and spilled) and
+  // dropped. `rows` is the page's tuple count (payload pointers and
+  // scan positions are indexed by row id).
+  Status ProbeBatch(std::uint32_t rows, OpCounts* counts);
+  // The outer tuple of lane `row` in NSM layout: the tuple itself on
+  // NSM pages, a gather of the PAX columns into outer_row_ otherwise.
+  const std::byte* OuterRowAt(std::uint32_t row);
   // Aggregation / projection over the surviving lanes of sel_.
   Status SinkBatch(const expr::BatchInput& in, OpCounts* counts,
                    std::vector<std::byte>* out);
@@ -178,6 +192,8 @@ class PageProcessor {
   expr::SelVec sel_;
   std::vector<const std::byte*> tuple_ptrs_;    // NSM gather
   std::vector<const std::byte*> payload_ptrs_;  // probe hits, by row id
+  std::vector<std::uint64_t> row_seq_;  // hybrid scan positions, by row id
+  std::vector<std::byte> outer_row_;    // one materialized NSM outer row
   std::vector<std::uint32_t> group_idx_;        // per-lane group index
 };
 

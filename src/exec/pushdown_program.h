@@ -83,6 +83,8 @@ class PushdownProgram final : public smart::InSsdProgram {
     return processor_->agg_state();
   }
   std::uint64_t pages_skipped() const { return pages_skipped_; }
+  // The page kernel running the scan (valid after Open()).
+  KernelMode kernel_mode() const { return processor_->kernel_mode(); }
 
   // True when this program's join runs (or would run) the hybrid
   // spill path under the configured budget.

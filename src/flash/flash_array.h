@@ -82,12 +82,16 @@ class FlashArray {
   Result<SimTime> ReadPage(const PageAddress& addr, SimTime ready,
                            std::span<std::byte> out);
 
-  // Zero-copy variant: timing only; use store().View() for the bytes.
+  // Zero-copy variant: timing only; use store().View() for the bytes. A
+  // view stays valid until the page is released (its FTL mapping is
+  // overwritten, trimmed or relocated by GC) or its block is erased.
   Result<SimTime> ReadPageTiming(const PageAddress& addr, SimTime ready);
 
   // Programs the next constraint-checked page. The page must be the
   // block's current write pointer (sequential-program rule) and the block
-  // must not be full.
+  // must not be full. Because the pointer only moves forward until the
+  // block is erased, this is also what rejects reprogramming a page whose
+  // bytes the store has already released.
   Result<SimTime> ProgramPage(const PageAddress& addr,
                               std::span<const std::byte> data,
                               SimTime ready);

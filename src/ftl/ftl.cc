@@ -71,6 +71,10 @@ Status Ftl::Invalidate(std::uint64_t ppn) {
   }
   --valid_per_block_[block];
   block_invalidate_stamp_[block] = ++invalidate_stamp_;
+  // Dead bytes are never read again: free them now instead of at the
+  // block's erase, which on a large, lightly written device may never
+  // come.
+  array_->store().Release(ppn);
   return Status::OK();
 }
 

@@ -79,6 +79,7 @@ class Ftl {
   Result<SimTime> ReadTiming(std::uint64_t lpn, SimTime ready);
 
   // Zero-copy view of a mapped logical page; empty span if unmapped.
+  // Valid until the LPN is rewritten, trimmed or relocated by GC.
   std::span<const std::byte> View(std::uint64_t lpn) const;
 
   bool IsMapped(std::uint64_t lpn) const;
@@ -126,7 +127,9 @@ class Ftl {
   // index, with `*gc_done` >= ready reflecting any GC delay.
   Result<std::uint64_t> AllocatePage(SimTime ready, SimTime* gc_done);
   Result<SimTime> MaybeCollect(int channel, int chip, SimTime ready);
-  // Marks a physical page stale. Inconsistent validity accounting is
+  // Marks a physical page stale and releases its bytes in the backing
+  // store (overwrite, TRIM and GC relocation all land here). Views of
+  // the page end with it. Inconsistent validity accounting is
   // surfaced as CORRUPTION (it means the map and flash disagree), not a
   // process abort — injected faults must be able to flow past it.
   Status Invalidate(std::uint64_t ppn);

@@ -104,6 +104,12 @@ TEST_P(SplitIdentityTest, SplitMatchesMonolithicHostAndDevice) {
     ASSERT_TRUE(split.stats.split_scan) << spec.name;
     EXPECT_GE(split.stats.fragments, 2u) << spec.name;
     EXPECT_EQ(split.stats.target, ExecutionTarget::kSmartSsd) << spec.name;
+    // Every side reports the kernel it ran, the merged split included.
+    EXPECT_EQ(host.stats.kernel, exec::KernelMode::kVectorized) << spec.name;
+    EXPECT_EQ(device.stats.kernel, exec::KernelMode::kVectorized)
+        << spec.name;
+    EXPECT_EQ(split.stats.kernel, exec::KernelMode::kVectorized)
+        << spec.name;
     ExpectIdentical(host, split, spec.name + " split-vs-host");
     ExpectIdentical(device, split, spec.name + " split-vs-device");
     // The two sides partition the scan: together they read exactly the
