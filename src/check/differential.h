@@ -13,7 +13,9 @@
 //     fragments across host and device, partials merged — results AND
 //     OpCounts must equal the unpruned monolithic reference) and
 //     adaptive routing over PAX + zone map,
-//   * ParallelDatabase with 1, 2, and 4 workers (pushdown),
+//   * fleet scatter-gather (pushdown) over uniform fleets of 1, 2, 3
+//     and 4 devices and a heterogeneous 2-device fleet — healthy, with
+//     a fault on one device, and with one device's breaker pre-tripped,
 //   * pushdown with an injected device fault (rotating fault kinds),
 //     exercising retry, degraded host fallback, and the breaker —
 //     including faults landing mid-spill,

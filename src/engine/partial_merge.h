@@ -1,9 +1,9 @@
 #ifndef SMARTSSD_ENGINE_PARTIAL_MERGE_H_
 #define SMARTSSD_ENGINE_PARTIAL_MERGE_H_
 
-// Deterministic merge of per-partition partial query results, shared by
-// the scatter-gather coordinators (ParallelDatabase and the fault-
-// tolerant Fleet). The merge is a pure function of the partials *in the
+// Deterministic merge of per-partition partial query results, used by
+// the fault-tolerant Fleet's scatter-gather coordinator and by the
+// split-scan placement path. The merge is a pure function of the partials *in the
 // order given*, so a coordinator that fixes that order by partition id
 // (never by completion order) gets byte-identical output no matter how
 // the partitions' executions interleaved, hedged, or fell back.

@@ -58,11 +58,6 @@ HostQueryTask::HostQueryTask(Database* db, const exec::BoundQuery* bound,
   SMARTSSD_CHECK(!partial_ || !bound->spec->join.has_value());
 }
 
-bool HostQueryTask::Fragmented() const {
-  return partial_ || scan_begin_ != 0 ||
-         scan_end_ != bound_->outer->page_count;
-}
-
 HostQueryTask::~HostQueryTask() { CloseSpanForError(); }
 
 void HostQueryTask::CloseSpanForError() {
@@ -184,17 +179,11 @@ StepOutcome HostQueryTask::StepBuildFinish() {
 
 StepOutcome HostQueryTask::StepPrepareScan() {
   obs::ScopeGuard scope(tracer_, span_id_);
-  const bool use_morsels = db_->options().host_threads > 1 &&
-                           exec::MorselScanner::Eligible(*bound_) &&
-                           !Fragmented();
-  if (!use_morsels) {
-    processor_.emplace(bound_,
-                       hash_table_.has_value() ? &*hash_table_ : nullptr,
-                       db_->options().kernel);
-  }
+  processor_.emplace(bound_,
+                     hash_table_.has_value() ? &*hash_table_ : nullptr,
+                     db_->options().kernel);
   host_params_ = exec::HostCostParams(bound_->outer->layout);
   hash_entries_ = hash_table_.has_value() ? hash_table_->entries() : 0;
-  const storage::TableInfo& outer = *bound_->outer;
 
   // Zone-map pruning: skip pages whose per-page [min, max] cannot
   // satisfy the predicate's column ranges.
@@ -218,17 +207,14 @@ StepOutcome HostQueryTask::StepPrepareScan() {
   // Arm the batch-skip fast paths with the same statistics: pages that
   // survive the merged-interval pruning above can still be settled
   // wholesale per conjunct inside the batch loop (exec/batch_skip.h).
-  if (processor_.has_value()) {
-    processor_->SetZoneMap(zone_map_);
-    armed_zone_map_ = zone_map_;
-  }
+  processor_->SetZoneMap(zone_map_);
+  armed_zone_map_ = zone_map_;
   scan_started_ = end_;
   state_ = State::kScan;
   return {.at = end_};
 }
 
 StepOutcome HostQueryTask::StepScan() {
-  if (!processor_.has_value()) return StepScanMorsel();
   obs::ScopeGuard scope(tracer_, span_id_);
   QueryStats& stats = result_.stats;
   const storage::TableInfo& outer = *bound_->outer;
@@ -292,86 +278,16 @@ StepOutcome HostQueryTask::StepScan() {
   return {.at = end_};
 }
 
-StepOutcome HostQueryTask::StepScanMorsel() {
-  obs::ScopeGuard scope(tracer_, span_id_);
-  QueryStats& stats = result_.stats;
-  const storage::TableInfo& outer = *bound_->outer;
-  const std::uint64_t limit = outer.first_lpn + outer.page_count;
-  // The whole scan runs inside this one step, so the zone map fetched
-  // here stays alive throughout (writers only invalidate it at step
-  // boundaries of *their* tasks, which cannot interleave mid-step).
-  zone_map_ = db_->zone_map(bound_->spec->table);
-  morsel_.emplace(bound_, hash_table_.has_value() ? &*hash_table_ : nullptr,
-                  db_->options().kernel, zone_map_,
-                  db_->options().host_threads);
-  // Dispatch loop: identical page walk (pruning, buffer-pool fetches,
-  // fetch ordering) to the serial StepScan, but page processing is
-  // handed to the workers. Each submitted page's I/O-ready time is
-  // recorded so the virtual-time replay below can issue the exact
-  // host().Execute() sequence the serial loop would have.
-  std::vector<SimTime> io_done;
-  for (; page_ < scan_end_; ++page_) {
-    bool may_match = true;
-    if (zone_map_ != nullptr) {
-      for (const auto& [col, range] : prune_ranges_) {
-        if (!zone_map_->PageMayMatch(page_, col, range.lo, range.hi)) {
-          may_match = false;
-          break;
-        }
-      }
-    }
-    if (!may_match) {
-      ++stats.pages_skipped;
-      continue;
-    }
-    Result<std::pair<std::span<const std::byte>, SimTime>> page =
-        db_->buffer_pool().GetPage(outer.first_lpn + page_, start_, limit);
-    if (!page.ok()) return FailWith(page.status());
-    io_done.push_back(page.value().second);
-    morsel_->AddPage(page_, page.value().first);
-  }
-  const Status drained = morsel_->Drain();
-  if (!drained.ok()) return FailWith(drained);
-  // Virtual-time replay in submission order: byte-identical to the
-  // serial loop because the per-page OpCounts are (count-identity
-  // invariant) and the Execute() call sequence is.
-  for (std::size_t i = 0; i < morsel_->pages_submitted(); ++i) {
-    const exec::OpCounts& page_counts = morsel_->page_counts(i);
-    const std::uint64_t cycles =
-        exec::Cycles(page_counts, host_params_,
-                     outer.schema.num_columns(), hash_entries_);
-    end_ = std::max(end_, db_->host().Execute(cycles, io_done[i],
-                                              "scan batch"));
-    stats.counts += page_counts;
-    stats.host_cycles += cycles;
-    ++pages_scanned_;
-  }
-  morsel_->AppendRows(&result_.rows);
-  stats.pages_read += pages_scanned_;
-  stats.bytes_over_host_link +=
-      pages_scanned_ *
-      static_cast<std::uint64_t>(db_->device().page_size());
-  if (tracer_ != nullptr) {
-    tracer_->Complete(db_->executor_track(), "scan", "phase", scan_started_,
-                      end_,
-                      {obs::Arg::Uint("pages_scanned", pages_scanned_),
-                       obs::Arg::Uint("pages_skipped", stats.pages_skipped)});
-  }
-  state_ = State::kFinish;
-  return {.at = end_};
-}
-
 StepOutcome HostQueryTask::StepFinish() {
   obs::ScopeGuard scope(tracer_, span_id_);
   QueryStats& stats = result_.stats;
   const storage::TableInfo& outer = *bound_->outer;
   const SimTime finish_started = end_;
-  exec::PageProcessor& processor =
-      morsel_.has_value() ? morsel_->merged() : *processor_;
   exec::OpCounts final_counts;
-  const Status finished_ok = processor.Finish(&final_counts, &result_.rows);
+  const Status finished_ok =
+      processor_->Finish(&final_counts, &result_.rows);
   if (!finished_ok.ok()) return FailWith(finished_ok);
-  stats.kernel = processor.kernel_mode();
+  stats.kernel = processor_->kernel_mode();
   const std::uint64_t final_cycles =
       exec::Cycles(final_counts, host_params_, outer.schema.num_columns(),
                    hash_entries_);

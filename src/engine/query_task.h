@@ -13,7 +13,6 @@
 #include "engine/executor.h"
 #include "engine/placement.h"
 #include "engine/planner.h"
-#include "exec/morsel.h"
 #include "exec/page_processor.h"
 #include "exec/predicate_range.h"
 #include "exec/pushdown_program.h"
@@ -87,18 +86,9 @@ class HostQueryTask {
   StepOutcome StepBuildFinish();
   StepOutcome StepPrepareScan();
   StepOutcome StepScan();
-  // Morsel-parallel variant: dispatches the whole scan to worker
-  // threads in one step, then replays virtual time from the per-page
-  // counts in page order (wall-clock-only parallelism; see
-  // exec/morsel.h). Taken when host_threads > 1 and the query is
-  // morsel-eligible.
-  StepOutcome StepScanMorsel();
   StepOutcome StepFinish();
   StepOutcome FailWith(const Status& error);
   void CloseSpanForError();
-  // True when this task runs a proper fragment (or partial) rather than
-  // the whole table; fragments always take the serial scan loop.
-  bool Fragmented() const;
 
   Database* db_;
   const exec::BoundQuery* bound_;
@@ -124,12 +114,8 @@ class HostQueryTask {
   std::uint64_t build_page_ = 0;
   std::optional<exec::JoinHashTable> hash_table_;
 
-  // Scan state. Exactly one of processor_ / morsel_ is engaged:
-  // morsel_ when host_threads > 1 and the query is morsel-eligible
-  // (StepFinish then drives the merged processor), processor_
-  // otherwise.
+  // Scan state.
   std::optional<exec::PageProcessor> processor_;
-  std::optional<exec::MorselScanner> morsel_;
   exec::CpuCostParams host_params_{};
   std::uint64_t hash_entries_ = 0;
   const storage::ZoneMap* zone_map_ = nullptr;

@@ -37,15 +37,10 @@ class GroupTable {
     return states_.data() +
            static_cast<std::size_t>(group) * num_states_;
   }
-  const std::int64_t* states(std::uint32_t group) const {
-    return states_.data() +
-           static_cast<std::size_t>(group) * num_states_;
-  }
   const std::byte* key(std::uint32_t group) const {
     return keys_.data() + static_cast<std::size_t>(group) * key_width_;
   }
 
-  std::uint32_t size() const { return count_; }
   std::uint32_t key_width() const { return key_width_; }
 
   // Fills `out` with all group indices in ascending key-byte order.

@@ -1,8 +1,10 @@
 // Tests for the fault-tolerant multi-device fleet (engine/fleet.h):
 // partitioned scatter-gather byte-identity against single-device ground
-// truth, per-device fault-seed purity, breaker-open re-dispatch,
-// half-open single-probe admission under concurrent traffic, hedged
-// subqueries with deterministic replay, and the degraded-mode ladder.
+// truth (scalar, grouped, join-against-replicated-inner and global
+// top-N merges), near-linear Q6 scale-out, per-device fault-seed
+// purity, breaker-open re-dispatch, half-open single-probe admission
+// under concurrent traffic, hedged subqueries with deterministic
+// replay, and the degraded-mode ladder.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,8 @@
 #include "expr/expression.h"
 #include "obs/trace.h"
 #include "sim/fault_injector.h"
+#include "tpch/queries.h"
+#include "tpch/tpch_gen.h"
 
 namespace smartssd::engine {
 namespace {
@@ -54,6 +58,38 @@ exec::QuerySpec GroupSpec() {
   return spec;
 }
 
+// F joined with the replicated D on fk = dk, probe first, summing a D
+// payload column: every device probes its own full replica of the
+// inner table, and probe misses drop rows on every partition.
+exec::QuerySpec JoinSpec() {
+  exec::QuerySpec spec;
+  spec.name = "fleet_join";
+  spec.table = check::kOuterTable;
+  spec.join = exec::JoinSpec{.inner_table = check::kInnerTable,
+                             .outer_key_col = 1,
+                             .inner_key_col = 0,
+                             .inner_payload_cols = {2}};
+  spec.order = exec::PipelineOrder::kProbeFirst;
+  const int dval = check::kOuterColumns;  // first appended inner column
+  spec.aggregates.push_back(exec::AggSpec{
+      .fn = exec::AggSpec::Fn::kSum, .input = expr::Col(dval), .name = "s"});
+  spec.aggregates.push_back(exec::AggSpec{
+      .fn = exec::AggSpec::Fn::kCount, .input = nullptr, .name = "c"});
+  return spec;
+}
+
+// ORDER BY sel DESC LIMIT 40 over uniform values: the global top rows
+// come from every partition, so the coordinator must re-select them.
+exec::QuerySpec TopNSpec() {
+  exec::QuerySpec spec;
+  spec.name = "fleet_topn";
+  spec.table = check::kOuterTable;
+  spec.projection = {3, 0};
+  spec.top_n = exec::TopNSpec{.order_col = 3, .descending = true,
+                              .limit = 40};
+  return spec;
+}
+
 ExecutionOutput GroundTruth(const exec::QuerySpec& spec,
                             ExecutionTarget target,
                             const TableGenConfig& config) {
@@ -67,13 +103,20 @@ ExecutionOutput GroundTruth(const exec::QuerySpec& spec,
   return check::FromQuery("single", *result);
 }
 
-ExecutionOutput FleetRun(Fleet& fleet, const exec::QuerySpec& spec,
-                         ExecutionTarget target,
-                         const FleetOptions& options = {}) {
+FleetQueryResult FleetExecute(Fleet& fleet, const exec::QuerySpec& spec,
+                              ExecutionTarget target,
+                              const FleetOptions& options = {}) {
   fleet.ResetForColdRun();
   auto result = ExecuteOnFleet(fleet, spec, target, 0, options);
   SMARTSSD_CHECK(result.ok());
-  return check::FromFleet("fleet", *result);
+  return std::move(result).value();
+}
+
+ExecutionOutput FleetRun(Fleet& fleet, const exec::QuerySpec& spec,
+                         ExecutionTarget target,
+                         const FleetOptions& options = {}) {
+  return check::FromFleet("fleet", FleetExecute(fleet, spec, target,
+                                                 options));
 }
 
 // --- Satellite: per-device fault seeds ------------------------------------
@@ -108,13 +151,26 @@ TEST_F(FleetTest, UniformFleetMatchesSingleDeviceByteForByte) {
   std::vector<exec::QuerySpec> specs;
   specs.push_back(SumSpec());
   specs.push_back(GroupSpec());
+  specs.push_back(JoinSpec());
+  specs.push_back(TopNSpec());
   for (const exec::QuerySpec& spec : specs) {
     for (ExecutionTarget target :
          {ExecutionTarget::kSmartSsd, ExecutionTarget::kHost}) {
       const ExecutionOutput expected = GroundTruth(spec, target, gen_);
-      const ExecutionOutput actual = FleetRun(fleet, spec, target);
-      const Status s = CompareOutputs(expected, actual);
+      const FleetQueryResult result = FleetExecute(fleet, spec, target);
+      const Status s =
+          CompareOutputs(expected, check::FromFleet("fleet", result));
       EXPECT_TRUE(s.ok()) << spec.name << ": " << s.message();
+      // No zone map: every partition scans all of its rows exactly once,
+      // and a join builds each device's full replica of the inner table.
+      ASSERT_EQ(result.partition_stats.size(), 3u);
+      std::uint64_t tuples = 0;
+      for (const QueryStats& stats : result.partition_stats) {
+        tuples += stats.counts.tuples;
+      }
+      const std::uint64_t builds =
+          spec.join.has_value() ? 3 * gen_.inner_rows : 0;
+      EXPECT_EQ(tuples, gen_.outer_rows + builds) << spec.name;
     }
   }
 }
@@ -148,6 +204,46 @@ TEST_F(FleetTest, RejectsQueryOverReplicatedTable) {
   EXPECT_NE(std::string(result.status().message())
                 .find("not partition-loaded"),
             std::string::npos);
+}
+
+TEST_F(FleetTest, RejectsTopNWithoutProjectedOrderColumn) {
+  Fleet fleet(2, DatabaseOptions::PaperSmartSsd());
+  SMARTSSD_CHECK(
+      check::LoadTablesFleet(fleet, gen_, storage::PageLayout::kNsm).ok());
+  exec::QuerySpec spec = TopNSpec();
+  spec.projection = {0};  // the order column is not projected
+  auto result = ExecuteOnFleet(fleet, spec, ExecutionTarget::kSmartSsd);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Section 4.3's array scale-out: TPC-H Q6 on four devices, each
+// scanning a quarter of LINEITEM through its own host link, finishes
+// nearly four times sooner than on one device (the coordinator's merge
+// is the only serial part).
+TEST_F(FleetTest, FourDevicesAreNearlyFourTimesFaster) {
+  constexpr double kSf = 0.004;  // 24k LINEITEM rows
+  const exec::QuerySpec spec = tpch::Q6Spec("lineitem");
+  Database single(DatabaseOptions::PaperSmartSsd());
+  SMARTSSD_CHECK(tpch::LoadLineitem(single, "lineitem", kSf,
+                                    storage::PageLayout::kPax)
+                     .ok());
+  single.ResetForColdRun();
+  QueryExecutor executor(&single);
+  auto one = executor.Execute(spec, ExecutionTarget::kSmartSsd);
+  ASSERT_TRUE(one.ok());
+
+  Fleet fleet(4, DatabaseOptions::PaperSmartSsd());
+  SMARTSSD_CHECK(tpch::LoadLineitemFleet(fleet, "lineitem", kSf,
+                                         storage::PageLayout::kPax)
+                     .ok());
+  const FleetQueryResult four =
+      FleetExecute(fleet, spec, ExecutionTarget::kSmartSsd);
+  EXPECT_EQ(four.agg_values, one->agg_values);
+  const double scaling =
+      one->stats.elapsed_seconds() / four.elapsed_seconds();
+  EXPECT_GT(scaling, 3.0);
+  EXPECT_LT(scaling, 4.5);
 }
 
 // --- Breaker-open re-dispatch ---------------------------------------------
