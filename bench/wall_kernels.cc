@@ -28,6 +28,13 @@
 // they measure the whole pushdown path; rows, OpCounts and spill
 // statistics must agree between the kernels or the bench aborts.
 //
+// The update-pass rows time the host update pass (engine::UpdateCursor)
+// on a database of each kernel: a selective key-range UPDATE that
+// touches about 1% of a buffer-pool-resident table, so the filter and
+// the skip of unmatched pages dominate. UpdateStats, the virtual end
+// time and the flushed page bytes must agree between the kernels or the
+// bench aborts.
+//
 // col1 (the predicate column) is generated as a row-proportional ramp —
 // the clustered shape of a date-ordered fact table (think l_shipdate),
 // which is what makes per-page min/max statistics selective. The other
@@ -49,6 +56,7 @@
 #include "common/random.h"
 #include "engine/database.h"
 #include "engine/executor.h"
+#include "engine/update.h"
 #include "exec/page_processor.h"
 #include "exec/query_spec.h"
 #include "expr/kernel_isa.h"
@@ -250,6 +258,73 @@ JoinRun RunSpillingJoin(PageLayout layout, exec::KernelMode kernel) {
   return run;
 }
 
+// The update pass: SET col3 = col3 + 1 WHERE col0 BETWEEN lo AND hi on
+// a kRows-row, 8-column table whose col0 is the row index. 1% of the
+// keys, one contiguous run, so about 1% of the pages match.
+constexpr std::int64_t kUpdateLo = kRows / 2;
+constexpr std::int64_t kUpdateHi = kUpdateLo + kRows / 100 - 1;
+
+struct UpdateRun {
+  double seconds = 0;
+  double rows_per_sec = 0;
+  engine::TableUpdater::UpdateStats stats;
+  std::vector<std::byte> flushed;  // the table's page bytes at the end
+};
+
+// Times whole update passes on a database running `kernel`. The table
+// fits the buffer pool, so after the warmup pass every page is a pool
+// hit and the passes time the update kernel itself. Each pass starts
+// where the previous one ended; both kernels run the same passes, so
+// their final stats and page bytes must match exactly.
+UpdateRun RunUpdatePass(PageLayout layout, exec::KernelMode kernel) {
+  engine::DatabaseOptions options = engine::DatabaseOptions::PaperSmartSsd();
+  options.kernel = kernel;
+  engine::Database db(options);
+  const storage::Schema schema = tpch::SyntheticSchema(8);
+  const storage::TableInfo info = bench::Unwrap(
+      db.LoadTable("t", schema, layout, kRows,
+                   [](std::uint64_t row, storage::TupleWriter& w) {
+                     w.SetInt32(0, static_cast<std::int32_t>(row));
+                     for (int c = 1; c < 8; ++c) {
+                       w.SetInt32(c, static_cast<std::int32_t>(
+                                         (row * 2654435761u + c) % 100000));
+                     }
+                   }),
+      "load update table");
+  SMARTSSD_CHECK(info.page_count <= options.buffer_pool_pages);
+  const auto pred = ex::And([] {
+    std::vector<ex::ExprPtr> terms;
+    terms.push_back(ex::Ge(ex::Col(0), ex::Lit(kUpdateLo)));
+    terms.push_back(ex::Le(ex::Col(0), ex::Lit(kUpdateHi)));
+    return terms;
+  }());
+  auto bump = [](const expr::RowView& row, storage::TupleWriter& w) {
+    w.SetInt32(3, static_cast<std::int32_t>(row.GetColumn(3).AsInt() + 1));
+  };
+  engine::TableUpdater updater(&db);
+  UpdateRun run;
+  const bench::WallMeasurement m = bench::MeasureWall(
+      static_cast<std::uint64_t>(kRows), kRepeats, [&]() {
+        run.stats = bench::Unwrap(
+            updater.Update("t", pred.get(), bump, run.stats.end),
+            "update pass");
+      });
+  SMARTSSD_CHECK(run.stats.rows_matched ==
+                 static_cast<std::uint64_t>(kUpdateHi - kUpdateLo + 1));
+  bench::Check(db.buffer_pool().FlushAll(run.stats.end).status(),
+               "FlushAll");
+  run.flushed.resize(info.page_count * db.device().page_size());
+  bench::Check(db.device()
+                   .ReadPages(info.first_lpn,
+                              static_cast<std::uint32_t>(info.page_count),
+                              run.flushed, 0)
+                   .status(),
+               "read back");
+  run.seconds = m.seconds;
+  run.rows_per_sec = m.rows_per_sec;
+  return run;
+}
+
 struct Config {
   std::string name;
   double selectivity;
@@ -371,6 +446,32 @@ int main(int argc, char** argv) {
                    vectorized.result.stats.counts);
     SMARTSSD_CHECK(scalar.result.stats.join_spill ==
                    vectorized.result.stats.join_spill);
+    const double speedup = scalar.rows_per_sec > 0
+                               ? vectorized.rows_per_sec / scalar.rows_per_sec
+                               : 0;
+    std::printf("%-34s %12.3g %12.3g %7.2fx\n", name.c_str(),
+                scalar.rows_per_sec, vectorized.rows_per_sec, speedup);
+    json.AddWall(name + " scalar", scalar.seconds, NAN, NAN,
+                 scalar.rows_per_sec);
+    json.AddWall(name + " vectorized", vectorized.seconds, NAN, speedup,
+                 vectorized.rows_per_sec);
+  }
+
+  bench::PrintRule();
+  std::printf("%-34s %12s %12s %8s\n", "host update pass (1% of keys)",
+              "scalar r/s", "vector r/s", "gain");
+  for (const PageLayout layout : {PageLayout::kNsm, PageLayout::kPax}) {
+    const std::string name = std::string("update-pass ") +
+                             (layout == PageLayout::kNsm ? "nsm" : "pax");
+    const UpdateRun scalar = RunUpdatePass(layout, exec::KernelMode::kScalar);
+    const UpdateRun vectorized =
+        RunUpdatePass(layout, exec::KernelMode::kVectorized);
+    SMARTSSD_CHECK(scalar.stats.rows_matched ==
+                   vectorized.stats.rows_matched);
+    SMARTSSD_CHECK(scalar.stats.pages_dirtied ==
+                   vectorized.stats.pages_dirtied);
+    SMARTSSD_CHECK(scalar.stats.end == vectorized.stats.end);
+    SMARTSSD_CHECK(scalar.flushed == vectorized.flushed);
     const double speedup = scalar.rows_per_sec > 0
                                ? vectorized.rows_per_sec / scalar.rows_per_sec
                                : 0;

@@ -1,9 +1,10 @@
 #include "engine/update.h"
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "exec/page_columns.h"
 
 namespace smartssd::engine {
 
@@ -55,8 +56,9 @@ Result<UpdateCursor> UpdateCursor::Open(Database* db, std::string table,
   SMARTSSD_CHECK(db != nullptr);
   SMARTSSD_ASSIGN_OR_RETURN(const storage::TableInfo* info,
                             db->catalog().GetTable(table));
+  const storage::Schema& schema = info->schema;
   if (predicate != nullptr) {
-    SMARTSSD_RETURN_IF_ERROR(predicate->Validate(info->schema));
+    SMARTSSD_RETURN_IF_ERROR(predicate->Validate(schema));
   }
   UpdateCursor cursor;
   cursor.db_ = db;
@@ -64,15 +66,101 @@ Result<UpdateCursor> UpdateCursor::Open(Database* db, std::string table,
   cursor.predicate_ = predicate;
   cursor.mutate_ = std::move(mutate);
   cursor.page_count_ = info->page_count;
+  if (predicate != nullptr &&
+      db->options().kernel == exec::KernelMode::kVectorized) {
+    auto compiled = expr::CompiledExpr::Compile(*predicate, schema);
+    if (compiled.ok() && compiled->result_type() == expr::SlotType::kBool) {
+      cursor.compiled_.emplace(std::move(compiled).value());
+    }
+  }
+  cursor.columns_.resize(static_cast<std::size_t>(schema.num_columns()));
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    cursor.columns_[static_cast<std::size_t>(c)].type = schema.column(c).type;
+    cursor.columns_[static_cast<std::size_t>(c)].width =
+        schema.column(c).width;
+  }
+  cursor.tuple_.resize(schema.tuple_size());
+  cursor.row_.resize(schema.tuple_size());
+  const std::uint32_t page_size = db->device().page_size();
+  if (info->layout == storage::PageLayout::kNsm) {
+    cursor.nsm_.emplace(&schema, page_size);
+  } else {
+    cursor.pax_.emplace(&schema, page_size);
+  }
   return cursor;
+}
+
+Result<std::uint16_t> UpdateCursor::BindPage(
+    const storage::TableInfo& info, std::span<const std::byte> page) {
+  const storage::Schema& schema = info.schema;
+  if (info.layout == storage::PageLayout::kNsm) {
+    SMARTSSD_ASSIGN_OR_RETURN(const storage::NsmPageReader reader,
+                              storage::NsmPageReader::Open(&schema, page));
+    if (reader.tuple_count() > 0) {
+      exec::BindPageColumns(schema, reader, &tuple_ptrs_, columns_.data());
+    }
+    return reader.tuple_count();
+  }
+  SMARTSSD_ASSIGN_OR_RETURN(const storage::PaxPageReader reader,
+                            storage::PaxPageReader::Open(&schema, page));
+  if (reader.tuple_count() > 0) {
+    exec::BindPageColumns(schema, reader, columns_.data());
+  }
+  return reader.tuple_count();
+}
+
+void UpdateCursor::SelectRows(const storage::Schema& schema,
+                              std::uint16_t n) {
+  sel_.resize(n);
+  std::iota(sel_.begin(), sel_.end(), 0u);
+  if (n == 0 || predicate_ == nullptr) return;
+  expr::EvalStats eval;  // the cycle charge is per tuple, not per op
+  if (compiled_.has_value()) {
+    const expr::BatchInput in{columns_.data(),
+                              static_cast<int>(columns_.size())};
+    compiled_->Filter(in, &sel_, &scratch_, &eval);
+    return;
+  }
+  const expr::NsmRowView view(&schema, row_.data());
+  std::size_t kept = 0;
+  for (std::uint32_t row = 0; row < n; ++row) {
+    exec::GatherRow(schema, columns_.data(), row, row_.data());
+    if (predicate_->Evaluate(view, &eval).AsBool()) sel_[kept++] = row;
+  }
+  sel_.resize(kept);
+}
+
+Status UpdateCursor::RebuildPage(const storage::Schema& schema,
+                                 std::uint16_t n) {
+  if (nsm_.has_value()) {
+    nsm_->Reset();
+  } else {
+    pax_->Reset();
+  }
+  // mutate reads the row as it was (row_) and writes into tuple_.
+  const expr::NsmRowView view(&schema, row_.data());
+  auto next = sel_.begin();
+  for (std::uint32_t row = 0; row < n; ++row) {
+    exec::GatherRow(schema, columns_.data(), row, tuple_.data());
+    if (next != sel_.end() && *next == row) {
+      std::copy(tuple_.begin(), tuple_.end(), row_.begin());
+      storage::TupleWriter writer(&schema, tuple_);
+      mutate_(view, writer);
+      ++next;
+    }
+    const bool appended =
+        nsm_.has_value() ? nsm_->Append(tuple_) : pax_->Append(tuple_);
+    if (!appended) {
+      return InternalError("update: rebuilt page overflowed");
+    }
+  }
+  return Status::OK();
 }
 
 Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
   if (done()) return ready;
   SMARTSSD_ASSIGN_OR_RETURN(const storage::TableInfo* info,
                             db_->catalog().GetTable(table_));
-  const storage::Schema& schema = info->schema;
-  const std::uint32_t page_size = db_->device().page_size();
   BufferPool& pool = db_->buffer_pool();
 
   const std::uint64_t p = next_page_++;
@@ -82,66 +170,25 @@ Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
       auto page_and_time,
       pool.GetPage(lpn, t, info->first_lpn + info->page_count));
   t = page_and_time.second;
-  std::span<const std::byte> page = page_and_time.first;
 
-  // Decode every tuple, apply the mutation to matches, re-encode.
-  bool page_changed = false;
-  std::uint64_t page_tuples = 0;
-  std::vector<std::byte> tuple(schema.tuple_size());
-  storage::NsmPageBuilder nsm(&schema, page_size);
-  storage::PaxPageBuilder pax(&schema, page_size);
-  expr::EvalStats eval;  // predicate work folded into the cycle charge
-  auto rewrite_tuple = [&](const expr::RowView& view,
-                           const std::byte* raw_bytes_nsm) -> Status {
-    ++page_tuples;
-    // Serialize the current row.
-    if (raw_bytes_nsm != nullptr) {
-      std::copy_n(raw_bytes_nsm, schema.tuple_size(), tuple.begin());
-    } else {
-      SerializeRow(schema, view, tuple);
-    }
-    if (predicate_ == nullptr ||
-        predicate_->Evaluate(view, &eval).AsBool()) {
-      storage::TupleWriter writer(&schema, tuple);
-      mutate_(view, writer);
-      ++stats_.rows_matched;
-      page_changed = true;
-    }
-    const bool appended = info->layout == storage::PageLayout::kNsm
-                              ? nsm.Append(tuple)
-                              : pax.Append(tuple);
-    if (!appended) {
-      return InternalError("update: rebuilt page overflowed");
-    }
-    return Status::OK();
-  };
-
-  if (info->layout == storage::PageLayout::kNsm) {
-    SMARTSSD_ASSIGN_OR_RETURN(const storage::NsmPageReader reader,
-                              storage::NsmPageReader::Open(&schema, page));
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      const std::byte* raw = reader.tuple(i);
-      expr::NsmRowView view(&schema, raw);
-      SMARTSSD_RETURN_IF_ERROR(rewrite_tuple(view, raw));
-    }
-  } else {
-    SMARTSSD_ASSIGN_OR_RETURN(const storage::PaxPageReader reader,
-                              storage::PaxPageReader::Open(&schema, page));
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      expr::PaxRowView view(&schema, &reader, i);
-      SMARTSSD_RETURN_IF_ERROR(rewrite_tuple(view, nullptr));
-    }
+  // Filter first; only a page with a matching row is rebuilt. The
+  // rebuild mutates exactly the selected rows, without re-evaluating
+  // the predicate.
+  SMARTSSD_ASSIGN_OR_RETURN(const std::uint16_t n,
+                            BindPage(*info, page_and_time.first));
+  SelectRows(info->schema, n);
+  const bool page_changed = !sel_.empty();
+  if (page_changed) {
+    SMARTSSD_RETURN_IF_ERROR(RebuildPage(info->schema, n));
+    stats_.rows_matched += sel_.size();
   }
 
   const std::uint64_t cycles =
-      page_tuples * kCyclesPerTuple +
-      (page_changed ? page_tuples * kCyclesPerUpdatedTuple : 0);
+      n * kCyclesPerTuple + (page_changed ? n * kCyclesPerUpdatedTuple : 0);
   t = db_->host().Execute(cycles, t);
 
   if (page_changed) {
-    const auto image = info->layout == storage::PageLayout::kNsm
-                           ? nsm.image()
-                           : pax.image();
+    const auto image = nsm_.has_value() ? nsm_->image() : pax_->image();
     SMARTSSD_ASSIGN_OR_RETURN(t, pool.WritePage(lpn, image, t));
     ++stats_.pages_dirtied;
   }

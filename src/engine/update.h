@@ -2,12 +2,17 @@
 #define SMARTSSD_ENGINE_UPDATE_H_
 
 #include <functional>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/result.h"
 #include "engine/database.h"
+#include "expr/batch.h"
 #include "expr/expression.h"
+#include "storage/nsm_page.h"
+#include "storage/pax_page.h"
 #include "storage/table_loader.h"
 #include "storage/tuple.h"
 
@@ -52,11 +57,19 @@ class TableUpdater {
   Database* db_;
 };
 
-// Page-granular resumable update pass: one StepPage call decodes,
-// mutates, and re-encodes one page, so a workload scheduler can
-// interleave update work with queries at page granularity. When the
-// last page has been processed and any row matched, the table's zone
-// map is marked stale.
+// Page-granular resumable update pass: one StepPage call filters one
+// page and, if any row matched, mutates and re-encodes it, so a
+// workload scheduler can interleave update work with queries at page
+// granularity. When the last page has been processed and any row
+// matched, the table's zone map is marked stale.
+//
+// The filter runs on the batch kernel (the predicate compiled once at
+// Open) when the database's kernel is kVectorized, and on the
+// interpreter for kScalar databases or predicates the batch compiler
+// cannot express — the same rule as PageProcessor. A page with no
+// matching row is neither rebuilt nor written. The host cycle charge
+// depends only on the page's tuple count and whether it changed, so
+// both kernels give the same virtual time and the same page images.
 class UpdateCursor {
  public:
   static Result<UpdateCursor> Open(Database* db, std::string table,
@@ -78,6 +91,16 @@ class UpdateCursor {
  private:
   UpdateCursor() = default;
 
+  // Points columns_ at `page`; returns its tuple count (nothing is bound
+  // on an empty page).
+  Result<std::uint16_t> BindPage(const storage::TableInfo& info,
+                                 std::span<const std::byte> page);
+  // Leaves in sel_ the rows of the bound n-row page the update applies to.
+  void SelectRows(const storage::Schema& schema, std::uint16_t n);
+  // Re-encodes the bound n-row page into the page builder, mutating the
+  // rows sel_ names.
+  Status RebuildPage(const storage::Schema& schema, std::uint16_t n);
+
   Database* db_ = nullptr;
   std::string table_;
   const expr::Expression* predicate_ = nullptr;
@@ -85,6 +108,19 @@ class UpdateCursor {
   std::uint64_t next_page_ = 0;
   std::uint64_t page_count_ = 0;
   TableUpdater::UpdateStats stats_;
+
+  // The batch-compiled predicate; nullopt runs the interpreter.
+  std::optional<expr::CompiledExpr> compiled_;
+  // Per-page state, reused across pages.
+  std::vector<expr::BatchColumn> columns_;
+  std::vector<const std::byte*> tuple_ptrs_;  // NSM gather
+  expr::BatchScratch scratch_;
+  expr::SelVec sel_;
+  std::vector<std::byte> row_;    // a row as read, for the interpreter
+  std::vector<std::byte> tuple_;  // the row as rebuilt
+  // The rebuilt page: exactly one is set, matching the table's layout.
+  std::optional<storage::NsmPageBuilder> nsm_;
+  std::optional<storage::PaxPageBuilder> pax_;
 };
 
 // Appends through the buffer pool into the table's reserved extent

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "exec/hybrid_join.h"
+#include "exec/page_columns.h"
 #include "storage/nsm_page.h"
 #include "storage/pax_page.h"
 
@@ -447,7 +448,6 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
                                             std::vector<std::byte>* out) {
   const QuerySpec& spec = *bound_->spec;
   const storage::Schema& schema = bound_->outer->schema;
-  const int outer_cols = schema.num_columns();
 
   // Zone-map classification first: it needs only the page index, and an
   // all-fail verdict on the filter-first path skips even the NSM tuple-
@@ -462,8 +462,6 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
   }
 
   std::uint16_t n = 0;
-  // The readers only validate and locate; the column pointers they hand
-  // out live in `page` and stay valid after the readers go out of scope.
   if (bound_->outer->layout == storage::PageLayout::kNsm) {
     SMARTSSD_ASSIGN_OR_RETURN(const storage::NsmPageReader reader,
                               storage::NsmPageReader::Open(&schema, page));
@@ -480,14 +478,7 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
       AddScaledEvalStats(&counts->eval, skip_per_row, n);
       return Status::OK();
     }
-    tuple_ptrs_.resize(n);
-    reader.TuplePointers(tuple_ptrs_.data());
-    for (int c = 0; c < outer_cols; ++c) {
-      expr::BatchColumn& col = batch_columns_[static_cast<std::size_t>(c)];
-      col.base = nullptr;
-      col.row_ptrs = tuple_ptrs_.data();
-      col.offset = schema.offset(c);
-    }
+    BindPageColumns(schema, reader, &tuple_ptrs_, batch_columns_.data());
   } else {
     SMARTSSD_ASSIGN_OR_RETURN(const storage::PaxPageReader reader,
                               storage::PaxPageReader::Open(&schema, page));
@@ -499,12 +490,7 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
       AddScaledEvalStats(&counts->eval, skip_per_row, n);
       return Status::OK();
     }
-    for (int c = 0; c < outer_cols; ++c) {
-      expr::BatchColumn& col = batch_columns_[static_cast<std::size_t>(c)];
-      col.base = reader.column_data(c);
-      col.stride = schema.column(c).width;
-      col.row_ptrs = nullptr;
-    }
+    BindPageColumns(schema, reader, batch_columns_.data());
   }
 
   sel_.resize(n);
@@ -605,13 +591,8 @@ const std::byte* PageProcessor::OuterRowAt(std::uint32_t row) {
   if (bound_->outer->layout == storage::PageLayout::kNsm) {
     return tuple_ptrs_[row];
   }
-  const storage::Schema& schema = bound_->outer->schema;
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    const expr::BatchColumn& col =
-        batch_columns_[static_cast<std::size_t>(c)];
-    std::memcpy(outer_row_.data() + schema.offset(c), col.at(row),
-                col.width);
-  }
+  GatherRow(bound_->outer->schema, batch_columns_.data(), row,
+            outer_row_.data());
   return outer_row_.data();
 }
 

@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "engine/planner.h"
 #include "engine/update.h"
+#include "expr/batch.h"
 #include "tpch/queries.h"
 #include "tpch/synthetic.h"
 
@@ -144,6 +151,216 @@ TEST_P(UpdateTest, PlannerRefusesDirtyThenRecovers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, UpdateTest,
+                         ::testing::Values(storage::PageLayout::kNsm,
+                                           storage::PageLayout::kPax),
+                         [](const auto& info) {
+                           return std::string(
+                               storage::PageLayoutName(info.param));
+                         });
+
+// The update pass filters pages on the batch kernel in kVectorized
+// databases and on the interpreter in kScalar ones, and skips pages
+// without a match. Both must leave identical stats, virtual time, dirty
+// pages and page bytes.
+
+// Deterministic 4-column INT32 table: Col_1 = row (key), Col_2 =
+// row % 97, Col_3 = (row * 7) % 1000, Col_4 = 5. 4,000 rows leave the
+// last page partial in both layouts.
+constexpr std::uint64_t kCrossRows = 4'000;
+
+void FillCrossRow(std::uint64_t row, storage::TupleWriter& writer) {
+  writer.SetInt32(0, static_cast<std::int32_t>(row));
+  writer.SetInt32(1, static_cast<std::int32_t>(row % 97));
+  writer.SetInt32(2, static_cast<std::int32_t>((row * 7) % 1000));
+  writer.SetInt32(3, 5);
+}
+
+DatabaseOptions KernelOptions(exec::KernelMode kernel) {
+  DatabaseOptions options = DatabaseOptions::PaperSmartSsd();
+  options.kernel = kernel;
+  return options;
+}
+
+// Col_1 in [lo, hi].
+ex::ExprPtr KeyRange(std::int64_t lo, std::int64_t hi) {
+  std::vector<ex::ExprPtr> terms;
+  terms.push_back(ex::Ge(ex::Col(0), ex::Lit(lo)));
+  terms.push_back(ex::Le(ex::Col(0), ex::Lit(hi)));
+  return ex::And(std::move(terms));
+}
+
+class UpdateKernelTest
+    : public ::testing::TestWithParam<storage::PageLayout> {
+ protected:
+  UpdateKernelTest()
+      : scalar_(KernelOptions(exec::KernelMode::kScalar)),
+        vectorized_(KernelOptions(exec::KernelMode::kVectorized)) {
+    for (Database* db : {&scalar_, &vectorized_}) {
+      SMARTSSD_CHECK(db->LoadTable("T", tpch::SyntheticSchema(4), GetParam(),
+                                   kCrossRows, FillCrossRow)
+                         .ok());
+      db->ResetForColdRun();
+    }
+  }
+
+  const storage::TableInfo& Info(Database& db) {
+    auto info = db.catalog().GetTable("T");
+    SMARTSSD_CHECK(info.ok());
+    return **info;
+  }
+
+  std::vector<bool> DirtyPages(Database& db) {
+    const storage::TableInfo& info = Info(db);
+    std::vector<bool> dirty;
+    for (std::uint64_t p = 0; p < info.page_count; ++p) {
+      dirty.push_back(db.buffer_pool().IsDirty(info.first_lpn + p));
+    }
+    return dirty;
+  }
+
+  std::vector<std::byte> FlushedTable(Database& db) {
+    SMARTSSD_CHECK(db.buffer_pool().FlushAll(0).ok());
+    const storage::TableInfo& info = Info(db);
+    std::vector<std::byte> bytes(info.page_count * db.device().page_size());
+    SMARTSSD_CHECK(db.device()
+                       .ReadPages(info.first_lpn,
+                                  static_cast<std::uint32_t>(info.page_count),
+                                  bytes, 0)
+                       .ok());
+    return bytes;
+  }
+
+  Database scalar_;
+  Database vectorized_;
+};
+
+TEST_P(UpdateKernelTest, KernelsAgreeOnSeededPasses) {
+  const std::int64_t last = static_cast<std::int64_t>(kCrossRows) - 1;
+  std::vector<std::pair<std::int64_t, std::int64_t>> ranges = {
+      {100, 50},         // empty: lo > hi
+      {1'234, 1'234},    // single row
+      {0, last},         // full table
+      {last - 40, last}, // the partial last page
+  };
+  Random rng(14);
+  for (int i = 0; i < 6; ++i) {
+    const auto lo = static_cast<std::int64_t>(rng.Uniform(kCrossRows));
+    ranges.emplace_back(lo, lo + static_cast<std::int64_t>(rng.Uniform(600)));
+  }
+
+  SimTime t = 0;
+  for (std::size_t pass = 0; pass < ranges.size(); ++pass) {
+    const auto [lo, hi] = ranges[pass];
+    SCOPED_TRACE(::testing::Message() << "pass " << pass << " [" << lo
+                                      << ", " << hi << "]");
+    const auto pred = KeyRange(lo, hi);
+    const auto delta = static_cast<std::int32_t>(pass + 1);
+    auto mutate = [delta](const expr::RowView& row,
+                          storage::TupleWriter& writer) {
+      writer.SetInt32(2, static_cast<std::int32_t>(row.GetColumn(2).AsInt()) +
+                             delta);
+      writer.SetInt32(3, static_cast<std::int32_t>(row.GetColumn(1).AsInt()));
+    };
+    auto scalar = TableUpdater(&scalar_).Update("T", pred.get(), mutate, t);
+    auto vectorized =
+        TableUpdater(&vectorized_).Update("T", pred.get(), mutate, t);
+    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+    ASSERT_TRUE(vectorized.ok()) << vectorized.status().ToString();
+    EXPECT_EQ(scalar->rows_matched, vectorized->rows_matched);
+    EXPECT_EQ(scalar->pages_dirtied, vectorized->pages_dirtied);
+    EXPECT_EQ(scalar->end, vectorized->end);
+    const std::int64_t expected =
+        hi < lo ? 0 : std::min(hi, last) - std::max<std::int64_t>(lo, 0) + 1;
+    EXPECT_EQ(vectorized->rows_matched, static_cast<std::uint64_t>(expected));
+    if (expected == 0) {
+      EXPECT_EQ(vectorized->pages_dirtied, 0u);
+    }
+    EXPECT_EQ(DirtyPages(scalar_), DirtyPages(vectorized_));
+    t = vectorized->end;
+  }
+  EXPECT_EQ(FlushedTable(scalar_), FlushedTable(vectorized_));
+}
+
+TEST_P(UpdateKernelTest, UncompilablePredicateFallsBackToInterpreter) {
+  // CASE with an INT64 and a DOUBLE branch: the batch compiler refuses
+  // mixed branch types, so the cursor must filter on the interpreter.
+  const auto pred = ex::Ge(
+      ex::CaseWhen(ex::Lt(ex::Col(0), ex::Lit(2'000)), ex::Col(2),
+                   ex::Arith(ex::ArithOp::kDiv, ex::Col(2), ex::Lit(2))),
+      ex::Lit(450));
+  ASSERT_FALSE(
+      expr::CompiledExpr::Compile(*pred, tpch::SyntheticSchema(4)).ok());
+
+  std::uint64_t expected = 0;
+  for (std::uint64_t row = 0; row < kCrossRows; ++row) {
+    const std::int64_t col3 = static_cast<std::int64_t>((row * 7) % 1000);
+    const double value = row < 2'000 ? static_cast<double>(col3)
+                                     : static_cast<double>(col3) / 2;
+    if (value >= 450) ++expected;
+  }
+  auto zero_col4 = [](const expr::RowView&, storage::TupleWriter& writer) {
+    writer.SetInt32(3, 0);
+  };
+  auto stats = TableUpdater(&vectorized_).Update("T", pred.get(), zero_col4);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->rows_matched, expected);
+
+  // Every unmatched row keeps Col_4 = 5.
+  exec::QuerySpec spec;
+  spec.table = "T";
+  spec.aggregates.push_back({exec::AggSpec::Fn::kSum, ex::Col(3), "s"});
+  auto sum = QueryExecutor(&vectorized_).Execute(spec, ExecutionTarget::kHost);
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(sum->agg_values[0],
+            5 * static_cast<std::int64_t>(kCrossRows - expected));
+
+  auto reference = TableUpdater(&scalar_).Update("T", pred.get(), zero_col4);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(reference->end, stats->end);
+  EXPECT_EQ(FlushedTable(scalar_), FlushedTable(vectorized_));
+}
+
+TEST_P(UpdateKernelTest, NullPredicateRewritesEveryPage) {
+  auto stats = TableUpdater(&vectorized_)
+                   .Update("T", nullptr,
+                           [](const expr::RowView&,
+                              storage::TupleWriter& writer) {
+                             writer.SetInt32(3, 9);
+                           });
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->rows_matched, kCrossRows);
+  EXPECT_EQ(stats->pages_dirtied, Info(vectorized_).page_count);
+  for (const bool dirty : DirtyPages(vectorized_)) EXPECT_TRUE(dirty);
+}
+
+TEST_P(UpdateKernelTest, EmptyPageIsSkippedByBothKernels) {
+  // A table whose one page was reserved but never written: the page
+  // reads back zeroed, with no slot directory or minipages to bind.
+  const auto pred = KeyRange(0, 10);
+  SimTime ends[2];
+  int i = 0;
+  for (Database* db : {&scalar_, &vectorized_}) {
+    ASSERT_TRUE(db->LoadTable("E", tpch::SyntheticSchema(4), GetParam(), 0,
+                              FillCrossRow, /*reserve_extra_pages=*/1)
+                    .ok());
+    auto info = db->catalog().GetMutableTable("E");
+    ASSERT_TRUE(info.ok());
+    ASSERT_EQ((*info)->page_count, 0u);
+    (*info)->page_count = 1;
+    auto stats = TableUpdater(db).Update(
+        "E", pred.get(),
+        [](const expr::RowView&, storage::TupleWriter& writer) {
+          writer.SetInt32(3, 0);
+        });
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->rows_matched, 0u);
+    EXPECT_EQ(stats->pages_dirtied, 0u);
+    ends[i++] = stats->end;
+  }
+  EXPECT_EQ(ends[0], ends[1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, UpdateKernelTest,
                          ::testing::Values(storage::PageLayout::kNsm,
                                            storage::PageLayout::kPax),
                          [](const auto& info) {
