@@ -21,9 +21,10 @@
 // scalar kernel — a fast wrong answer is not a speedup, and a kernel
 // that charges different counts would corrupt virtual time.
 //
-// A last pair of rows times a spilling join end to end: TPC-H Q14
-// (probe-first lineitem x part) pushed into a simulated Smart SSD whose
-// join budget forces the hybrid hash join to spill, once per kernel.
+// The join rows time TPC-H Q14 (probe-first lineitem x part) end to
+// end, pushed into a simulated Smart SSD once per kernel: with the
+// build side resident in device DRAM (the path fleet subqueries take),
+// and with a join budget that forces the hybrid hash join to spill.
 // These rows include the simulated device (flash, FTL, spill I/O), so
 // they measure the whole pushdown path; rows, OpCounts and spill
 // statistics must agree between the kernels or the bench aborts.
@@ -216,10 +217,11 @@ KernelRun RunKernel(const exec::BoundQuery& bound, const MemTable& table,
 }
 
 // Q14 at this scale: 60k lineitem rows probing 2k parts. Its resident
-// build side needs about 100 KiB of device DRAM, so this budget spills
-// most of the hybrid join's partitions through the FTL.
+// build side needs about 100 KiB of device DRAM, so the spill budget
+// spills most of the hybrid join's partitions through the FTL; budget 0
+// keeps the whole build side resident.
 constexpr double kJoinScaleFactor = 0.01;
-constexpr std::uint64_t kJoinBudgetBytes = 32 * 1024;
+constexpr std::uint64_t kJoinSpillBudgetBytes = 32 * 1024;
 
 struct JoinRun {
   double seconds = 0;
@@ -227,11 +229,13 @@ struct JoinRun {
   engine::QueryResult result;
 };
 
-// Times Q14 pushed into a Smart SSD running `kernel`, cold-reset before
-// every pass so each pass replays the same build, spill and resolve.
-JoinRun RunSpillingJoin(PageLayout layout, exec::KernelMode kernel) {
+// Times Q14 pushed into a Smart SSD running `kernel` under a join
+// budget of `budget_bytes` (0: resident), cold-reset before every pass
+// so each pass replays the same build, spill and resolve.
+JoinRun RunJoin(PageLayout layout, exec::KernelMode kernel,
+                std::uint64_t budget_bytes) {
   engine::DatabaseOptions options = engine::DatabaseOptions::PaperSmartSsd();
-  options.join_spill.budget_bytes = kJoinBudgetBytes;
+  options.join_spill.budget_bytes = budget_bytes;
   options.kernel = kernel;
   engine::Database db(options);
   bench::Unwrap(tpch::LoadLineitem(db, "lineitem", kJoinScaleFactor, layout),
@@ -252,7 +256,8 @@ JoinRun RunSpillingJoin(PageLayout layout, exec::KernelMode kernel) {
   SMARTSSD_CHECK(run.result.stats.target ==
                  engine::ExecutionTarget::kSmartSsd);
   SMARTSSD_CHECK(run.result.stats.kernel == kernel);
-  SMARTSSD_CHECK(run.result.stats.join_spill.partitions_spilled > 0);
+  SMARTSSD_CHECK((run.result.stats.join_spill.partitions_spilled > 0) ==
+                 (budget_bytes > 0));
   run.seconds = m.seconds;
   run.rows_per_sec = m.rows_per_sec;
   return run;
@@ -430,31 +435,36 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintRule();
-  std::printf("%-34s %12s %12s %8s\n", "spilling join (device path)",
+  std::printf("%-34s %12s %12s %8s\n", "q14 join (device path)",
               "scalar r/s", "vector r/s", "gain");
-  for (const PageLayout layout : {PageLayout::kNsm, PageLayout::kPax}) {
-    const std::string name =
-        std::string("q14-join spill probe-first ") +
-        (layout == PageLayout::kNsm ? "nsm" : "pax");
-    const JoinRun scalar = RunSpillingJoin(layout, exec::KernelMode::kScalar);
-    const JoinRun vectorized =
-        RunSpillingJoin(layout, exec::KernelMode::kVectorized);
-    SMARTSSD_CHECK(scalar.result.rows == vectorized.result.rows);
-    SMARTSSD_CHECK(scalar.result.agg_values ==
-                   vectorized.result.agg_values);
-    SMARTSSD_CHECK(scalar.result.stats.counts ==
-                   vectorized.result.stats.counts);
-    SMARTSSD_CHECK(scalar.result.stats.join_spill ==
-                   vectorized.result.stats.join_spill);
-    const double speedup = scalar.rows_per_sec > 0
-                               ? vectorized.rows_per_sec / scalar.rows_per_sec
-                               : 0;
-    std::printf("%-34s %12.3g %12.3g %7.2fx\n", name.c_str(),
-                scalar.rows_per_sec, vectorized.rows_per_sec, speedup);
-    json.AddWall(name + " scalar", scalar.seconds, NAN, NAN,
-                 scalar.rows_per_sec);
-    json.AddWall(name + " vectorized", vectorized.seconds, NAN, speedup,
-                 vectorized.rows_per_sec);
+  for (const std::uint64_t budget :
+       {std::uint64_t{0}, kJoinSpillBudgetBytes}) {
+    for (const PageLayout layout : {PageLayout::kNsm, PageLayout::kPax}) {
+      const std::string name =
+          std::string("q14-join ") + (budget == 0 ? "resident" : "spill") +
+          " probe-first " + (layout == PageLayout::kNsm ? "nsm" : "pax");
+      const JoinRun scalar =
+          RunJoin(layout, exec::KernelMode::kScalar, budget);
+      const JoinRun vectorized =
+          RunJoin(layout, exec::KernelMode::kVectorized, budget);
+      SMARTSSD_CHECK(scalar.result.rows == vectorized.result.rows);
+      SMARTSSD_CHECK(scalar.result.agg_values ==
+                     vectorized.result.agg_values);
+      SMARTSSD_CHECK(scalar.result.stats.counts ==
+                     vectorized.result.stats.counts);
+      SMARTSSD_CHECK(scalar.result.stats.join_spill ==
+                     vectorized.result.stats.join_spill);
+      const double speedup =
+          scalar.rows_per_sec > 0
+              ? vectorized.rows_per_sec / scalar.rows_per_sec
+              : 0;
+      std::printf("%-34s %12.3g %12.3g %7.2fx\n", name.c_str(),
+                  scalar.rows_per_sec, vectorized.rows_per_sec, speedup);
+      json.AddWall(name + " scalar", scalar.seconds, NAN, NAN,
+                   scalar.rows_per_sec);
+      json.AddWall(name + " vectorized", vectorized.seconds, NAN, speedup,
+                   vectorized.rows_per_sec);
+    }
   }
 
   bench::PrintRule();

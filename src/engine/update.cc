@@ -94,12 +94,12 @@ Result<std::uint16_t> UpdateCursor::BindPage(
     const storage::TableInfo& info, std::span<const std::byte> page) {
   const storage::Schema& schema = info.schema;
   if (info.layout == storage::PageLayout::kNsm) {
-    SMARTSSD_ASSIGN_OR_RETURN(const storage::NsmPageReader reader,
-                              storage::NsmPageReader::Open(&schema, page));
-    if (reader.tuple_count() > 0) {
-      exec::BindPageColumns(schema, reader, &tuple_ptrs_, columns_.data());
-    }
-    return reader.tuple_count();
+    SMARTSSD_ASSIGN_OR_RETURN(
+        const std::uint16_t n,
+        storage::NsmPageReader::GatherTuplePointers(&schema, page,
+                                                    &tuple_ptrs_));
+    if (n > 0) exec::BindPageColumns(schema, tuple_ptrs_, columns_.data());
+    return n;
   }
   SMARTSSD_ASSIGN_OR_RETURN(const storage::PaxPageReader reader,
                             storage::PaxPageReader::Open(&schema, page));

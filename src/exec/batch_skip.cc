@@ -49,19 +49,14 @@ BatchSkipAnalysis::BatchSkipAnalysis(const expr::Expression* pred,
                                      int num_outer_columns)
     : map_(map) {
   if (pred == nullptr || map == nullptr) return;
-  auto add = [&](const expr::Expression& e) {
-    const std::optional<expr::ColumnCompare> cc = e.AsColumnCompare();
+  for (const expr::Expression* conjunct : expr::Conjuncts(*pred)) {
+    const std::optional<expr::ColumnCompare> cc = conjunct->AsColumnCompare();
     if (cc.has_value() && cc->column < num_outer_columns &&
         map->TracksColumn(cc->column)) {
       conjuncts_.emplace_back(cc);
     } else {
       conjuncts_.emplace_back(std::nullopt);
     }
-  };
-  if (const auto* children = pred->AsConjunction()) {
-    for (const auto& child : *children) add(*child);
-  } else {
-    add(*pred);
   }
   // A leading non-conforming conjunct blocks every verdict.
   usable_ = !conjuncts_.empty() && conjuncts_.front().has_value();

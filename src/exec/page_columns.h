@@ -24,18 +24,16 @@ namespace smartssd::exec {
 // Callers must skip empty pages first: a zero-tuple (e.g. never
 // written) page has no slot directory or minipages to point into.
 
-// NSM: one slot-directory walk gathers every tuple pointer into
-// `tuple_ptrs`; each column then reads at its offset within the tuple.
+// NSM: `tuple_ptrs` holds the page's tuple pointers, gathered (and
+// bounds-checked) by NsmPageReader::GatherTuplePointers; each column
+// reads at its offset within the tuple.
 inline void BindPageColumns(const storage::Schema& schema,
-                            const storage::NsmPageReader& reader,
-                            std::vector<const std::byte*>* tuple_ptrs,
+                            const std::vector<const std::byte*>& tuple_ptrs,
                             expr::BatchColumn* columns) {
-  tuple_ptrs->resize(reader.tuple_count());
-  reader.TuplePointers(tuple_ptrs->data());
   for (int c = 0; c < schema.num_columns(); ++c) {
     expr::BatchColumn& col = columns[c];
     col.base = nullptr;
-    col.row_ptrs = tuple_ptrs->data();
+    col.row_ptrs = tuple_ptrs.data();
     col.offset = schema.offset(c);
   }
 }

@@ -450,8 +450,8 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
   const storage::Schema& schema = bound_->outer->schema;
 
   // Zone-map classification first: it needs only the page index, and an
-  // all-fail verdict on the filter-first path skips even the NSM tuple-
-  // pointer gather below. The per-row cost it reports is exactly what
+  // all-fail verdict on the filter-first path skips binding the page's
+  // columns below. The per-row cost it reports is exactly what
   // the interpreter would charge the skipped rows (batch_skip.h), so
   // the fast paths leave OpCounts byte-identical.
   PageClass page_class = PageClass::kMixed;
@@ -463,22 +463,22 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
 
   std::uint16_t n = 0;
   if (bound_->outer->layout == storage::PageLayout::kNsm) {
-    SMARTSSD_ASSIGN_OR_RETURN(const storage::NsmPageReader reader,
-                              storage::NsmPageReader::Open(&schema, page));
-    n = reader.tuple_count();
+    SMARTSSD_ASSIGN_OR_RETURN(
+        n, storage::NsmPageReader::GatherTuplePointers(&schema, page,
+                                                       &tuple_ptrs_));
     counts->tuples += n;
     // Empty (e.g. zero-initialized) pages have no slot directory or
     // minipages to point into — bail before touching them.
     if (n == 0) return Status::OK();
     // All-fail before the probe stage: every row short-circuits inside
-    // the predicate, so no per-row work (not even the pointer gather)
-    // remains — charge the rows' evaluation cost and move on.
+    // the predicate, so no per-row work remains — charge the rows'
+    // evaluation cost and move on.
     if (page_class == PageClass::kAllFail &&
         spec.order == PipelineOrder::kFilterFirst) {
       AddScaledEvalStats(&counts->eval, skip_per_row, n);
       return Status::OK();
     }
-    BindPageColumns(schema, reader, &tuple_ptrs_, batch_columns_.data());
+    BindPageColumns(schema, tuple_ptrs_, batch_columns_.data());
   } else {
     SMARTSSD_ASSIGN_OR_RETURN(const storage::PaxPageReader reader,
                               storage::PaxPageReader::Open(&schema, page));

@@ -48,16 +48,10 @@ std::map<int, ColumnRange> ExtractColumnRanges(
     const expr::Expression* predicate) {
   std::map<int, ColumnRange> ranges;
   if (predicate == nullptr) return ranges;
-  if (const auto* conjuncts = predicate->AsConjunction()) {
-    for (const expr::ExprPtr& conjunct : *conjuncts) {
-      if (const auto compare = conjunct->AsColumnCompare()) {
-        ApplyCompare(*compare, &ranges);
-      }
+  for (const expr::Expression* conjunct : expr::Conjuncts(*predicate)) {
+    if (const auto compare = conjunct->AsColumnCompare()) {
+      ApplyCompare(*compare, &ranges);
     }
-    return ranges;
-  }
-  if (const auto compare = predicate->AsColumnCompare()) {
-    ApplyCompare(*compare, &ranges);
   }
   return ranges;
 }

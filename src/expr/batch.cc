@@ -85,29 +85,137 @@ bool LikeScalar(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
+// The portable fused conjunct step: one pass that loads each selected lane's
+// value (T = the column's int width), compares it with the literal and
+// keeps the lane by a branchless in-place write.
+template <typename T, typename Addr, typename Keep>
+std::size_t CompactByCompare(std::uint32_t* sel, std::size_t n, Addr addr,
+                             Keep keep) {
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t row = sel[i];
+    T v;
+    std::memcpy(&v, addr(row), sizeof(v));
+    sel[w] = row;
+    w += keep(static_cast<std::int64_t>(v)) ? 1 : 0;
+  }
+  return w;
+}
+
+template <typename T, typename Addr>
+std::size_t CompactByCompare(CompareOp op, std::int64_t lit,
+                             std::uint32_t* sel, std::size_t n, Addr addr) {
+  switch (op) {
+    case CompareOp::kEq:
+      return CompactByCompare<T>(sel, n, addr,
+                                 [lit](std::int64_t v) { return v == lit; });
+    case CompareOp::kNe:
+      return CompactByCompare<T>(sel, n, addr,
+                                 [lit](std::int64_t v) { return v != lit; });
+    case CompareOp::kLt:
+      return CompactByCompare<T>(sel, n, addr,
+                                 [lit](std::int64_t v) { return v < lit; });
+    case CompareOp::kLe:
+      return CompactByCompare<T>(sel, n, addr,
+                                 [lit](std::int64_t v) { return v <= lit; });
+    case CompareOp::kGt:
+      return CompactByCompare<T>(sel, n, addr,
+                                 [lit](std::int64_t v) { return v > lit; });
+    case CompareOp::kGe:
+      return CompactByCompare<T>(sel, n, addr,
+                                 [lit](std::int64_t v) { return v >= lit; });
+  }
+  SMARTSSD_CHECK(false);
+  return 0;
+}
+
 }  // namespace
+
+// Charges one column read and one comparison per lane: exactly kLoadI64
+// + kCmpI, and exactly the interpreter's CompareExpr over a column and a
+// literal.
+void CompiledExpr::FilterColumnCompare(const ColumnCompare& cc,
+                                       const BatchColumn& col, SelVec* sel,
+                                       EvalStats* stats) {
+  const std::size_t n = sel->size();
+  stats->column_reads += n;
+  stats->comparisons += n;
+  std::uint32_t* rows = sel->data();
+  auto compact = [&](auto addr) {
+    return col.width == 4
+               ? CompactByCompare<std::int32_t>(cc.op, cc.literal, rows, n,
+                                                addr)
+               : CompactByCompare<std::int64_t>(cc.op, cc.literal, rows, n,
+                                                addr);
+  };
+  std::size_t kept;
+  if (col.base != nullptr) {
+    const std::byte* base = col.base;
+    const std::size_t stride = col.stride;
+    kept = compact([base, stride](std::uint32_t row) {
+      return base + static_cast<std::size_t>(row) * stride;
+    });
+  } else {
+    const std::byte* const* ptrs = col.row_ptrs;
+    const std::uint32_t offset = col.offset;
+    kept = compact(
+        [ptrs, offset](std::uint32_t row) { return ptrs[row] + offset; });
+  }
+  sel->resize(kept);
+}
+
+Result<CompiledExpr::Program> CompiledExpr::CompileProgram(
+    const Expression& root, const storage::Schema& schema) {
+  Program program{BatchProgram(&schema), -1};
+  SMARTSSD_ASSIGN_OR_RETURN(program.root,
+                            root.CompileBatch(&program.prog));
+  return program;
+}
 
 Result<CompiledExpr> CompiledExpr::Compile(const Expression& root,
                                            const storage::Schema& schema) {
-  BatchProgram prog(&schema);
-  SMARTSSD_ASSIGN_OR_RETURN(const int slot, root.CompileBatch(&prog));
-  const SlotType type = prog.slot(slot).type;
-  return CompiledExpr(std::move(prog), slot, type);
+  // The whole tree compiles first: it decides whether the batch engine
+  // covers the expression at all, and what type it yields.
+  SMARTSSD_ASSIGN_OR_RETURN(Program whole, CompileProgram(root, schema));
+  const SlotType type = whole.prog.slot(whole.root).type;
+  if (type != SlotType::kBool) {
+    return CompiledExpr(type, std::move(whole), {});
+  }
+  std::vector<Step> steps;
+  for (const Expression* conjunct : Conjuncts(root)) {
+    Step step;
+    const std::optional<ColumnCompare> cc = conjunct->AsColumnCompare();
+    // The whole-tree compile already range-checked every column.
+    if (cc.has_value() &&
+        schema.column(cc->column).type != storage::ColumnType::kFixedChar) {
+      step.compare = *cc;
+    } else if (conjunct == &root) {
+      // Not a conjunction: the whole tree is the one step.
+      step.program = std::move(whole);
+    } else {
+      // An AND child compiles exactly as it did inside the whole tree
+      // (LogicExpr::CompileBatch checked it is BOOL there).
+      SMARTSSD_ASSIGN_OR_RETURN(step.program,
+                                CompileProgram(*conjunct, schema));
+    }
+    steps.push_back(std::move(step));
+  }
+  return CompiledExpr(type, std::nullopt, std::move(steps));
 }
 
-void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
-                       EvalStats* stats) const {
-  scratch->slots_.resize(static_cast<std::size_t>(prog_.num_slots()));
+void CompiledExpr::Run(const BatchProgram& prog, const BatchInput& in,
+                       BatchScratch* scratch, EvalStats* stats) {
+  scratch->slots_.resize(static_cast<std::size_t>(prog.num_slots()));
   // Literal slots carry their value straight from the program; doing it
   // every Run keeps the scratch shareable between compiled expressions.
-  for (int s = 0; s < prog_.num_slots(); ++s) {
-    const SlotInfo& info = prog_.slot(s);
+  for (int s = 0; s < prog.num_slots(); ++s) {
+    const SlotInfo& info = prog.slot(s);
     if (!info.literal) continue;
     BatchScratch::Slot& slot = scratch->slots_[static_cast<std::size_t>(s)];
     if (info.type == SlotType::kI64) {
       slot.u_i64 = info.lit_i64;
     } else {
-      slot.u_str = prog_.string(info.lit_str);
+      slot.u_str = prog.string(info.lit_str);
     }
   }
 
@@ -118,7 +226,7 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
   // for the scalar loops, so this choice never changes slot contents.
   const KernelIsa isa = CurrentKernelIsa();
 
-  for (const BatchOp& op : prog_.ops()) {
+  for (const BatchOp& op : prog.ops()) {
     const std::size_t n = cur.size();
     const std::uint32_t* sel = cur.data();
     switch (op.code) {
@@ -190,8 +298,8 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
             scratch->slots_[static_cast<std::size_t>(op.b)];
         BatchScratch::Slot& sd =
             scratch->slots_[static_cast<std::size_t>(op.dst)];
-        const bool ua = prog_.slot(op.a).uniform;
-        const bool ub = prog_.slot(op.b).uniform;
+        const bool ua = prog.slot(op.a).uniform;
+        const bool ub = prog.slot(op.b).uniform;
         if (!is_d && isa == KernelIsa::kAvx2 && !(ua && ub)) {
           sd.b8.resize(n);
           std::uint8_t* o = sd.b8.data();
@@ -266,8 +374,8 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
             scratch->slots_[static_cast<std::size_t>(op.b)];
         BatchScratch::Slot& sd =
             scratch->slots_[static_cast<std::size_t>(op.dst)];
-        const bool ua = prog_.slot(op.a).uniform;
-        const bool ub = prog_.slot(op.b).uniform;
+        const bool ua = prog.slot(op.a).uniform;
+        const bool ub = prog.slot(op.b).uniform;
         auto ga = [&](std::size_t i) { return ua ? sa.u_str : sa.str[i]; };
         auto gb = [&](std::size_t i) { return ub ? sb.u_str : sb.str[i]; };
         if (ua && ub) {
@@ -288,8 +396,8 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
             scratch->slots_[static_cast<std::size_t>(op.b)];
         BatchScratch::Slot& sd =
             scratch->slots_[static_cast<std::size_t>(op.dst)];
-        const bool ua = prog_.slot(op.a).uniform;
-        const bool ub = prog_.slot(op.b).uniform;
+        const bool ua = prog.slot(op.a).uniform;
+        const bool ub = prog.slot(op.b).uniform;
         if (ua && ub) {
           sd.u_i64 = ArithScalarI(op.arith, sa.u_i64, sb.u_i64);
           break;
@@ -347,8 +455,8 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
             scratch->slots_[static_cast<std::size_t>(op.b)];
         BatchScratch::Slot& sd =
             scratch->slots_[static_cast<std::size_t>(op.dst)];
-        const bool ua = prog_.slot(op.a).uniform;
-        const bool ub = prog_.slot(op.b).uniform;
+        const bool ua = prog.slot(op.a).uniform;
+        const bool ub = prog.slot(op.b).uniform;
         auto ga = [&](std::size_t i) { return ua ? sa.u_f64 : sa.f64[i]; };
         auto gb = [&](std::size_t i) { return ub ? sb.u_f64 : sb.f64[i]; };
         if (ua && ub) {
@@ -366,7 +474,7 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
             scratch->slots_[static_cast<std::size_t>(op.a)];
         BatchScratch::Slot& sd =
             scratch->slots_[static_cast<std::size_t>(op.dst)];
-        if (prog_.slot(op.a).uniform) {
+        if (prog.slot(op.a).uniform) {
           sd.u_f64 = static_cast<double>(sa.u_i64);
           break;
         }
@@ -381,7 +489,7 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
             scratch->slots_[static_cast<std::size_t>(op.a)];
         BatchScratch::Slot& sd =
             scratch->slots_[static_cast<std::size_t>(op.dst)];
-        if (prog_.slot(op.a).uniform) {
+        if (prog.slot(op.a).uniform) {
           sd.u_b8 = sa.u_b8 == 0 ? 1 : 0;
           break;
         }
@@ -393,12 +501,12 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
       }
       case BatchOp::Code::kLike: {
         stats->like_evals += n;
-        const std::string_view prefix = prog_.string(op.lit);
+        const std::string_view prefix = prog.string(op.lit);
         BatchScratch::Slot& sa =
             scratch->slots_[static_cast<std::size_t>(op.a)];
         BatchScratch::Slot& sd =
             scratch->slots_[static_cast<std::size_t>(op.dst)];
-        if (prog_.slot(op.a).uniform) {
+        if (prog.slot(op.a).uniform) {
           sd.u_b8 = LikeScalar(sa.u_str, prefix) ? 1 : 0;
           break;
         }
@@ -423,7 +531,7 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
         const BatchScratch::Slot& sa =
             scratch->slots_[static_cast<std::size_t>(op.a)];
         const bool keep = op.flag != 0;
-        if (prog_.slot(op.a).uniform) {
+        if (prog.slot(op.a).uniform) {
           if ((sa.u_b8 != 0) != keep) cur.clear();
           break;
         }
@@ -473,15 +581,15 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
             scratch->slots_[static_cast<std::size_t>(op.c)];
         BatchScratch::Slot& sd =
             scratch->slots_[static_cast<std::size_t>(op.dst)];
-        const bool uc = prog_.slot(op.a).uniform;
-        const bool ut = prog_.slot(op.b).uniform;
-        const bool ue = prog_.slot(op.c).uniform;
+        const bool uc = prog.slot(op.a).uniform;
+        const bool ut = prog.slot(op.b).uniform;
+        const bool ue = prog.slot(op.c).uniform;
         auto cond = [&](std::size_t i) {
           return (uc ? sc.u_b8 : sc.b8[i]) != 0;
         };
-        if (prog_.slot(op.dst).uniform) {
+        if (prog.slot(op.dst).uniform) {
           // All three operands uniform: one scalar pick.
-          switch (prog_.slot(op.dst).type) {
+          switch (prog.slot(op.dst).type) {
             case SlotType::kI64:
               sd.u_i64 = cond(0) ? st.u_i64 : se.u_i64;
               break;
@@ -501,7 +609,7 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
         // branch; zipping by the condition restores lane order.
         std::size_t jt = 0;
         std::size_t je = 0;
-        switch (prog_.slot(op.dst).type) {
+        switch (prog.slot(op.dst).type) {
           case SlotType::kI64: {
             sd.i64.resize(n);
             for (std::size_t i = 0; i < n; ++i) {
@@ -542,20 +650,15 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
   SMARTSSD_CHECK_EQ(depth, 0u);
 }
 
-void CompiledExpr::Filter(const BatchInput& in, SelVec* sel,
-                          BatchScratch* scratch, EvalStats* stats) const {
-  SMARTSSD_CHECK(result_type_ == SlotType::kBool);
-  if (sel->empty()) {
-    // Nothing to evaluate: the interpreter would not have charged a
-    // thing either, so skip the op walk entirely.
-    return;
-  }
+void CompiledExpr::FilterProgram(const Program& program,
+                                 const BatchInput& in, SelVec* sel,
+                                 BatchScratch* scratch, EvalStats* stats) {
   std::swap(scratch->cur_, *sel);
-  Run(in, scratch, stats);
+  Run(program.prog, in, scratch, stats);
   std::swap(scratch->cur_, *sel);
   const BatchScratch::Slot& root =
-      scratch->slots_[static_cast<std::size_t>(root_)];
-  if (prog_.slot(root_).uniform) {
+      scratch->slots_[static_cast<std::size_t>(program.root)];
+  if (program.prog.slot(program.root).uniform) {
     if (root.u_b8 == 0) sel->clear();
     return;
   }
@@ -571,16 +674,32 @@ void CompiledExpr::Filter(const BatchInput& in, SelVec* sel,
   sel->resize(w);
 }
 
+void CompiledExpr::Filter(const BatchInput& in, SelVec* sel,
+                          BatchScratch* scratch, EvalStats* stats) const {
+  SMARTSSD_CHECK(result_type_ == SlotType::kBool);
+  for (const Step& step : steps_) {
+    // No lane left: the interpreter would not evaluate (or charge) any
+    // later conjunct either.
+    if (sel->empty()) return;
+    if (step.program.has_value()) {
+      FilterProgram(*step.program, in, sel, scratch, stats);
+    } else {
+      FilterColumnCompare(step.compare, in.columns[step.compare.column], sel,
+                          stats);
+    }
+  }
+}
+
 std::span<const std::int64_t> CompiledExpr::EvalI64(
     const BatchInput& in, const SelVec& sel, BatchScratch* scratch,
     EvalStats* stats) const {
   SMARTSSD_CHECK(result_type_ == SlotType::kI64);
   if (sel.empty()) return {};
   scratch->cur_.assign(sel.begin(), sel.end());
-  Run(in, scratch, stats);
+  Run(value_->prog, in, scratch, stats);
   const BatchScratch::Slot& root =
-      scratch->slots_[static_cast<std::size_t>(root_)];
-  if (prog_.slot(root_).uniform) {
+      scratch->slots_[static_cast<std::size_t>(value_->root)];
+  if (value_->prog.slot(value_->root).uniform) {
     scratch->broadcast_.assign(sel.size(), root.u_i64);
     return scratch->broadcast_;
   }

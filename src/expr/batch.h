@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -189,7 +190,19 @@ class BatchScratch {
   std::vector<std::int64_t> broadcast_;
 };
 
-// A compiled expression: the flat op sequence plus its result slot.
+// A compiled expression.
+//
+// A BOOL root compiles to a list of conjunct steps, one per top-level
+// conjunct (expr::Conjuncts), that Filter() runs in order, each over
+// only the lanes every earlier step passed — the interpreter's AND
+// short-circuit, lane for lane. A conjunct that is exactly "INT column
+// OP int-literal" (AsColumnCompare on an INT32/INT64 column) is a fused
+// step: it loads each lane straight from the page, compares it with the
+// literal and compacts the selection in place in one branchless pass,
+// charging one column read and one comparison per lane — what kLoadI64
+// + kCmpI charge.
+// Any other conjunct runs its own op program through the interpreter
+// loop. Other roots keep one op program over the whole tree (EvalI64).
 class CompiledExpr {
  public:
   // Compiles `root` against `schema` (the combined-row schema the tree's
@@ -200,6 +213,13 @@ class CompiledExpr {
                                       const storage::Schema& schema);
 
   SlotType result_type() const { return result_type_; }
+
+  // How many conjuncts of a BOOL root run as fused compares.
+  int fused_conjuncts() const {
+    int n = 0;
+    for (const Step& step : steps_) n += step.program.has_value() ? 0 : 1;
+    return n;
+  }
 
   // Predicate evaluation: removes the lanes of `sel` where the (BOOL)
   // expression is false. Charges exactly the interpreter's EvalStats.
@@ -215,16 +235,40 @@ class CompiledExpr {
                                         EvalStats* stats) const;
 
  private:
-  CompiledExpr(BatchProgram prog, int root, SlotType type)
-      : prog_(std::move(prog)), root_(root), result_type_(type) {}
+  // An op sequence plus the slot holding its result.
+  struct Program {
+    BatchProgram prog;
+    int root = -1;
+  };
+  // One conjunct of a BOOL root: a fused compare, or a program.
+  struct Step {
+    ColumnCompare compare;           // used when `program` is empty
+    std::optional<Program> program;  // any other conjunct
+  };
 
-  // Executes the op sequence over scratch->cur_.
-  void Run(const BatchInput& in, BatchScratch* scratch,
-           EvalStats* stats) const;
+  CompiledExpr(SlotType type, std::optional<Program> value,
+               std::vector<Step> steps)
+      : result_type_(type),
+        value_(std::move(value)),
+        steps_(std::move(steps)) {}
 
-  BatchProgram prog_;
-  int root_ = -1;
+  static Result<Program> CompileProgram(const Expression& root,
+                                        const storage::Schema& schema);
+  // Executes `prog`'s op sequence over scratch->cur_.
+  static void Run(const BatchProgram& prog, const BatchInput& in,
+                  BatchScratch* scratch, EvalStats* stats);
+  // Keeps the lanes of `sel` where a fused "col OP literal" holds.
+  static void FilterColumnCompare(const ColumnCompare& cc,
+                                  const BatchColumn& col, SelVec* sel,
+                                  EvalStats* stats);
+  // Runs a BOOL program over `sel` and keeps the lanes it passes.
+  static void FilterProgram(const Program& program, const BatchInput& in,
+                            SelVec* sel, BatchScratch* scratch,
+                            EvalStats* stats);
+
   SlotType result_type_ = SlotType::kBool;
+  std::optional<Program> value_;  // non-BOOL roots: the whole tree
+  std::vector<Step> steps_;       // BOOL roots: one step per conjunct
 };
 
 }  // namespace smartssd::expr

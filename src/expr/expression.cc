@@ -633,6 +633,17 @@ Result<int> Expression::CompileBatch(BatchProgram*) const {
   return UnimplementedError("expression not supported by batch kernel");
 }
 
+std::vector<const Expression*> Conjuncts(const Expression& predicate) {
+  std::vector<const Expression*> out;
+  if (const auto* children = predicate.AsConjunction()) {
+    out.reserve(children->size());
+    for (const ExprPtr& child : *children) out.push_back(child.get());
+  } else {
+    out.push_back(&predicate);
+  }
+  return out;
+}
+
 ExprPtr Col(int column) { return std::make_unique<ColumnExpr>(column); }
 
 ExprPtr Lit(std::int64_t value) {

@@ -97,6 +97,12 @@ class Expression {
 
 using ExprPtr = std::unique_ptr<Expression>;
 
+// The top-level conjuncts of a predicate, in evaluation order: the
+// children of an AND, or the predicate itself. The one place the batch
+// compiler, zone-map batch skipping and range extraction split a
+// predicate, so all three see the same conjunct chain.
+std::vector<const Expression*> Conjuncts(const Expression& predicate);
+
 // --- Factory functions (the public way to build expressions) ---
 
 ExprPtr Col(int column);

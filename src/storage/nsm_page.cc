@@ -55,37 +55,71 @@ void NsmPageBuilder::Reset() {
   StoreU16(buffer_.data() + 4, free_start_);
 }
 
-Result<NsmPageReader> NsmPageReader::Open(const Schema* schema,
-                                          std::span<const std::byte> page) {
-  SMARTSSD_CHECK(schema != nullptr);
+namespace {
+
+// Validates the page header and returns its tuple count; a zeroed
+// (never written) page reads as empty.
+Result<std::uint16_t> CheckHeader(const Schema& schema,
+                                  std::span<const std::byte> page) {
   if (page.size() < 8) {
     return CorruptionError("NSM page smaller than its header");
   }
   const std::uint16_t magic = LoadU16(page.data());
   if (magic == 0) {
     // Never-written page: empty.
-    return NsmPageReader(schema, page, 0);
+    return std::uint16_t{0};
   }
   if (magic != kNsmMagic) {
     return CorruptionError("bad NSM page magic");
   }
   const std::uint16_t count = LoadU16(page.data() + 2);
-  // Every slot and every tuple it points at must be in bounds.
-  const std::size_t slots_bytes = 2u * count;
-  if (8u + static_cast<std::size_t>(count) * schema->tuple_size() +
-          slots_bytes >
+  if (8u + static_cast<std::size_t>(count) * schema.tuple_size() +
+          2u * count >
       page.size()) {
     return CorruptionError("NSM page tuple count exceeds page capacity");
   }
-  for (std::uint16_t i = 0; i < count; ++i) {
-    const std::uint16_t offset =
-        LoadU16(page.data() + page.size() - 2 * (i + 1));
-    if (offset < 8 ||
-        offset + schema->tuple_size() > page.size() - slots_bytes) {
+  return count;
+}
+
+// Walks the slot directory of a page CheckHeader accepted: every slot and
+// every tuple it points at must be in bounds. When `out` is non-null,
+// each slot's tuple pointer is written to it once that slot is checked.
+Status CheckSlots(const Schema& schema, std::span<const std::byte> page,
+                  std::uint16_t count, const std::byte** out) {
+  const std::byte* base = page.data();
+  const std::byte* slot = base + page.size() - 2;
+  const std::size_t limit = page.size() - 2u * count;
+  const std::size_t tuple_size = schema.tuple_size();
+  for (std::uint16_t i = 0; i < count; ++i, slot -= 2) {
+    const std::uint16_t offset = LoadU16(slot);
+    if (offset < 8 || offset + tuple_size > limit) {
       return CorruptionError("NSM slot points outside the page");
     }
+    if (out != nullptr) out[i] = base + offset;
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<NsmPageReader> NsmPageReader::Open(const Schema* schema,
+                                          std::span<const std::byte> page) {
+  SMARTSSD_CHECK(schema != nullptr);
+  SMARTSSD_ASSIGN_OR_RETURN(const std::uint16_t count,
+                            CheckHeader(*schema, page));
+  SMARTSSD_RETURN_IF_ERROR(CheckSlots(*schema, page, count, nullptr));
   return NsmPageReader(schema, page, count);
+}
+
+Result<std::uint16_t> NsmPageReader::GatherTuplePointers(
+    const Schema* schema, std::span<const std::byte> page,
+    std::vector<const std::byte*>* out) {
+  SMARTSSD_CHECK(schema != nullptr);
+  SMARTSSD_ASSIGN_OR_RETURN(const std::uint16_t count,
+                            CheckHeader(*schema, page));
+  out->resize(count);
+  SMARTSSD_RETURN_IF_ERROR(CheckSlots(*schema, page, count, out->data()));
+  return count;
 }
 
 const std::byte* NsmPageReader::tuple(std::uint16_t i) const {
@@ -93,14 +127,6 @@ const std::byte* NsmPageReader::tuple(std::uint16_t i) const {
   const std::uint16_t offset =
       LoadU16(page_.data() + page_.size() - 2 * (i + 1));
   return page_.data() + offset;
-}
-
-void NsmPageReader::TuplePointers(const std::byte** out) const {
-  const std::byte* base = page_.data();
-  const std::byte* slot = base + page_.size() - 2;
-  for (std::uint16_t i = 0; i < count_; ++i, slot -= 2) {
-    out[i] = base + LoadU16(slot);
-  }
 }
 
 }  // namespace smartssd::storage

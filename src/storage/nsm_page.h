@@ -55,19 +55,24 @@ class NsmPageBuilder {
 
 class NsmPageReader {
  public:
-  // Validates the header; a zeroed (never written) page reads as empty.
+  // Validates the header and bounds-checks every slot; a zeroed (never
+  // written) page reads as empty.
   static Result<NsmPageReader> Open(const Schema* schema,
                                     std::span<const std::byte> page);
+
+  // The gather step of the batch kernel: validates the page exactly as
+  // Open() does and, in the same slot-directory walk, fills `out`
+  // (resized to the tuple count) with every tuple's record pointer.
+  // Each slot is bounds-checked before its pointer is written; on
+  // kCorruption `out` must not be used. Returns the tuple count.
+  static Result<std::uint16_t> GatherTuplePointers(
+      const Schema* schema, std::span<const std::byte> page,
+      std::vector<const std::byte*>* out);
 
   std::uint16_t tuple_count() const { return count_; }
 
   // Pointer to tuple i's record (fixed schema->tuple_size() bytes).
   const std::byte* tuple(std::uint16_t i) const;
-
-  // Fills `out` (tuple_count() entries) with every tuple's record
-  // pointer in one slot-directory walk — the gather step of the batch
-  // kernel. Offsets were bounds-checked in Open().
-  void TuplePointers(const std::byte** out) const;
 
  private:
   NsmPageReader(const Schema* schema, std::span<const std::byte> page,

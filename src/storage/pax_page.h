@@ -56,7 +56,8 @@ class PaxPageReader {
 
   std::uint16_t tuple_count() const { return count_; }
 
-  // Start of column `col`'s minipage (values packed at column width).
+  // Start of column `col`'s minipage (values packed at column width),
+  // read from the page's minipage directory, which Open() validated.
   const std::byte* column_data(int col) const;
 
   // Pointer to the value of column `col` in row `row`.
@@ -67,16 +68,12 @@ class PaxPageReader {
 
  private:
   PaxPageReader(const Schema* schema, std::span<const std::byte> page,
-                std::uint16_t count, std::vector<std::uint32_t> offsets)
-      : schema_(schema),
-        page_(page),
-        count_(count),
-        minipage_offsets_(std::move(offsets)) {}
+                std::uint16_t count)
+      : schema_(schema), page_(page), count_(count) {}
 
   const Schema* schema_;
   std::span<const std::byte> page_;
   std::uint16_t count_;
-  std::vector<std::uint32_t> minipage_offsets_;
 };
 
 // Max tuples a PAX page of `page_size` can hold for `schema`.

@@ -5,7 +5,8 @@
 // operation counts, since the counts drive the virtual-time cost model.
 // Edge cases that selection-vector code tends to get wrong are covered
 // explicitly: empty pages, all-pass/all-fail predicates, a single-row
-// batch, and INT64_MIN/MAX boundary literals.
+// batch, and INT64_MIN/MAX boundary literals. On a SIMD host the
+// vectorized kernel also runs with the portable ISA pinned.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 
 #include "exec/page_processor.h"
 #include "exec/query_spec.h"
+#include "expr/kernel_isa.h"
 #include "storage/catalog.h"
 #include "storage/nsm_page.h"
 #include "storage/pax_page.h"
@@ -38,7 +40,8 @@ struct MemTable {
 Schema OuterSchema() {
   auto schema = Schema::Create({Column::Int32("k"), Column::Int32("fk"),
                                 Column::Int32("v"),
-                                Column::FixedChar("tag", 4)});
+                                Column::FixedChar("tag", 4),
+                                Column::Int64("w")});
   SMARTSSD_CHECK(schema.ok());
   return std::move(schema).value();
 }
@@ -48,6 +51,22 @@ Schema InnerSchema() {
       Schema::Create({Column::Int32("pk"), Column::Int64("payload")});
   SMARTSSD_CHECK(schema.ok());
   return std::move(schema).value();
+}
+
+// Column "w": INT64 values past the INT32 range, the INT64 extremes,
+// and (on two rows in five) a valid inner key 0..9, so a join on w
+// probes-and-misses often enough to leave a sparse selection.
+std::int64_t WideValue(int row) {
+  switch (row % 5) {
+    case 0:
+      return std::numeric_limits<std::int64_t>::min();
+    case 1:
+      return std::numeric_limits<std::int64_t>::max();
+    case 3:
+      return -static_cast<std::int64_t>(row) * 1'000'000'000'007LL;
+    default:
+      return row % 10;
+  }
 }
 
 MemTable BuildOuter(PageLayout layout, int rows) {
@@ -71,6 +90,7 @@ MemTable BuildOuter(PageLayout layout, int rows) {
     w.SetInt32(1, row % 10);  // FK into inner keys 0..9
     w.SetInt32(2, row * 2);
     w.SetChar(3, row % 3 == 0 ? "abXX" : "cdXX");
+    w.SetInt64(4, WideValue(row));
     const bool ok = layout == PageLayout::kNsm ? nsm.Append(tuple)
                                                : pax.Append(tuple);
     if (!ok) {
@@ -177,6 +197,17 @@ RunOutput CheckBothKernels(const QuerySpec& spec, int rows,
     const RunOutput vectorized =
         RunKernel(*bound, outer, with_inner ? &inner : nullptr,
                   KernelMode::kVectorized);
+    // The portable lanes too, when the host would otherwise pick SIMD.
+    if (ex::DetectKernelIsa() != ex::KernelIsa::kScalarIsa) {
+      const ex::ScopedKernelIsa portable(ex::KernelIsa::kScalarIsa);
+      const RunOutput portable_run =
+          RunKernel(*bound, outer, with_inner ? &inner : nullptr,
+                    KernelMode::kVectorized);
+      EXPECT_EQ(scalar.rows, portable_run.rows);
+      EXPECT_EQ(scalar.aggs, portable_run.aggs);
+      EXPECT_EQ(scalar.counts == portable_run.counts, true)
+          << "operation counts diverged on the portable ISA";
+    }
 
     EXPECT_EQ(scalar.effective_mode, KernelMode::kScalar);
     if (expect_vectorized) {
@@ -316,8 +347,8 @@ TEST(BatchKernelTest, JoinFilterFirstAndProbeFirst) {
                          .inner_key_col = 0,
                          .inner_payload_cols = {1}};
     spec.predicate = ex::Lt(ex::Col(1), ex::Lit(4));
-    // Aggregate over the joined payload (combined column 4).
-    spec.aggregates.push_back({AggSpec::Fn::kSum, ex::Col(4), "sum_p"});
+    // Aggregate over the joined payload (combined column 5).
+    spec.aggregates.push_back({AggSpec::Fn::kSum, ex::Col(5), "sum_p"});
     CheckBothKernels(spec, /*rows=*/150, /*with_inner=*/true);
   }
 }
@@ -353,6 +384,149 @@ TEST(BatchKernelTest, UniformLiteralOnlyPredicate) {
   const RunOutput out = CheckBothKernels(spec, /*rows=*/40);
   EXPECT_EQ(out.counts.output_tuples, 40u);
   EXPECT_EQ(out.counts.eval.comparisons, 40u);
+}
+
+// --- Conjunct-step filter -------------------------------------------
+//
+// A BOOL predicate runs as one step per top-level conjunct; an INT
+// column-vs-literal conjunct is a fused load-compare-compact step. The
+// tests below pin both the step split (fused_conjuncts) and rows +
+// OpCounts identity with the interpreter.
+
+int FusedConjuncts(const ex::Expression& predicate) {
+  const Schema schema = OuterSchema();
+  auto compiled = ex::CompiledExpr::Compile(predicate, schema);
+  SMARTSSD_CHECK(compiled.ok());
+  return compiled->fused_conjuncts();
+}
+
+constexpr ex::CompareOp kAllOps[] = {
+    ex::CompareOp::kEq, ex::CompareOp::kNe, ex::CompareOp::kLt,
+    ex::CompareOp::kLe, ex::CompareOp::kGt, ex::CompareOp::kGe};
+
+TEST(BatchKernelTest, FusedCompareEveryOpOnInt32AndInt64) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  struct Case {
+    int column;
+    std::int64_t literal;
+  };
+  const Case cases[] = {
+      {0, 37},          {0, -1},   {2, 100},        {2, kMin},
+      {4, 7},           {4, 0},    {4, -5'000'000'000'035LL},
+      {4, kMin},        {4, kMax}, {4, kMin + 1},   {4, kMax - 1},
+  };
+  for (const Case& c : cases) {
+    for (const ex::CompareOp op : kAllOps) {
+      for (const bool flipped : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "col " << c.column << " op " << static_cast<int>(op)
+                     << " lit " << c.literal << " flipped " << flipped);
+        QuerySpec spec;
+        spec.table = "outer";
+        spec.predicate =
+            flipped ? ex::Compare(op, ex::Lit(c.literal), ex::Col(c.column))
+                    : ex::Compare(op, ex::Col(c.column), ex::Lit(c.literal));
+        EXPECT_EQ(FusedConjuncts(*spec.predicate), 1);
+        spec.aggregates.push_back({AggSpec::Fn::kCount, nullptr, "cnt"});
+        spec.aggregates.push_back({AggSpec::Fn::kSum, ex::Col(0), "sum_k"});
+        CheckBothKernels(spec, /*rows=*/97);
+      }
+    }
+  }
+}
+
+TEST(BatchKernelTest, FusedConjunctionEmptiesPartWay) {
+  // Each step sees only the lanes the earlier ones passed; once the
+  // selection is empty no later conjunct is charged.
+  std::vector<ex::ExprPtr> conjuncts;
+  conjuncts.push_back(ex::Ge(ex::Col(0), ex::Lit(20)));
+  conjuncts.push_back(ex::Gt(ex::Col(4), ex::Lit(0)));  // w > 0
+  conjuncts.push_back(ex::Lt(ex::Col(2), ex::Lit(0)));  // empties
+  conjuncts.push_back(ex::Eq(ex::Col(1), ex::Lit(3)));  // never runs
+  QuerySpec spec;
+  spec.table = "outer";
+  spec.predicate = ex::And(std::move(conjuncts));
+  EXPECT_EQ(FusedConjuncts(*spec.predicate), 4);
+  spec.projection = {0, 4};
+  const RunOutput out = CheckBothKernels(spec, /*rows=*/150);
+  EXPECT_EQ(out.counts.output_tuples, 0u);
+  // 150 rows read k; 130 read w; the survivors of w > 0 read v; none
+  // reach fk.
+  std::uint64_t w_pass = 0;
+  for (int row = 20; row < 150; ++row) w_pass += WideValue(row) > 0 ? 1 : 0;
+  EXPECT_EQ(out.counts.eval.comparisons, 150u + 130u + w_pass);
+}
+
+TEST(BatchKernelTest, ConjunctionMixesFusedAndProgramSteps) {
+  std::vector<ex::ExprPtr> disjuncts;
+  disjuncts.push_back(ex::Lt(ex::Col(2), ex::Lit(50)));
+  disjuncts.push_back(ex::Gt(ex::Col(4), ex::Lit(0)));
+  std::vector<ex::ExprPtr> conjuncts;
+  conjuncts.push_back(ex::Ge(ex::Col(0), ex::Lit(10)));
+  conjuncts.push_back(ex::LikePrefix(ex::Col(3), "ab"));
+  conjuncts.push_back(ex::Or(std::move(disjuncts)));
+  conjuncts.push_back(ex::Le(ex::Lit(90), ex::Col(0)));  // flipped
+  conjuncts.push_back(ex::Compare(ex::CompareOp::kNe, ex::Col(4), ex::Lit(7)));
+  QuerySpec spec;
+  spec.table = "outer";
+  spec.predicate = ex::And(std::move(conjuncts));
+  EXPECT_EQ(FusedConjuncts(*spec.predicate), 3);
+  spec.projection = {0, 2, 4};
+  CheckBothKernels(spec, /*rows=*/200);
+}
+
+TEST(BatchKernelTest, CharCompareIsNotFused) {
+  {
+    QuerySpec spec;
+    spec.table = "outer";
+    spec.predicate = ex::Eq(ex::Col(3), ex::LitStr("abXX"));
+    EXPECT_EQ(FusedConjuncts(*spec.predicate), 0);
+    spec.projection = {0};
+    const RunOutput out = CheckBothKernels(spec, /*rows=*/90);
+    EXPECT_EQ(out.counts.output_tuples, 30u);
+  }
+  {
+    std::vector<ex::ExprPtr> conjuncts;
+    conjuncts.push_back(ex::Gt(ex::Col(3), ex::LitStr("abXX")));
+    conjuncts.push_back(ex::Lt(ex::Col(0), ex::Lit(60)));
+    QuerySpec spec;
+    spec.table = "outer";
+    spec.predicate = ex::And(std::move(conjuncts));
+    EXPECT_EQ(FusedConjuncts(*spec.predicate), 1);
+    spec.projection = {0};
+    CheckBothKernels(spec, /*rows=*/90);
+  }
+}
+
+TEST(BatchKernelTest, ProbeFirstFilterOverSparseSelection) {
+  // Joining on w hits two rows in five, so the probe-first predicate
+  // (over an outer INT32, an outer INT64 and the INT64 payload column)
+  // runs on a sparse selection; the inner keys 0..9 are dense, so the
+  // sealed join table uses direct slots.
+  for (const PipelineOrder order :
+       {PipelineOrder::kFilterFirst, PipelineOrder::kProbeFirst}) {
+    std::vector<ex::ExprPtr> conjuncts;
+    conjuncts.push_back(ex::Ge(ex::Col(0), ex::Lit(5)));
+    conjuncts.push_back(
+        ex::Compare(ex::CompareOp::kNe, ex::Col(4), ex::Lit(4)));
+    if (order == PipelineOrder::kProbeFirst) {
+      conjuncts.push_back(ex::Lt(ex::Col(5), ex::Lit(1009)));  // payload
+    }
+    QuerySpec spec;
+    spec.table = "outer";
+    spec.order = order;
+    spec.join = JoinSpec{.inner_table = "inner",
+                         .outer_key_col = 4,
+                         .inner_key_col = 0,
+                         .inner_payload_cols = {1}};
+    spec.predicate = ex::And(std::move(conjuncts));
+    spec.projection = {0, 4, 5};
+    const RunOutput out =
+        CheckBothKernels(spec, /*rows=*/160, /*with_inner=*/true);
+    EXPECT_GT(out.counts.output_tuples, 0u);
+    EXPECT_LT(out.counts.output_tuples, 160u * 2 / 5);
+  }
 }
 
 }  // namespace

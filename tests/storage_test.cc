@@ -211,6 +211,41 @@ TEST(NsmPageTest, CorruptSlotOffsetDetected) {
   ASSERT_FALSE(reader.ok());
 }
 
+TEST(NsmPageTest, SlotPastThePageDetectedByBothReaders) {
+  // A slot offset beyond the page end. Open() rejects the page, and so
+  // does the batch kernel's GatherTuplePointers(), while gathering.
+  const Schema schema = TestSchema();
+  NsmPageBuilder builder(&schema, 1024);
+  ASSERT_TRUE(builder.Append(MakeTuple(schema, 1)));
+  ASSERT_TRUE(builder.Append(MakeTuple(schema, 2)));
+  std::vector<std::byte> image(builder.image().begin(),
+                               builder.image().end());
+  const std::uint16_t bogus_offset = 4000;  // slot 1, past the 1 KiB page
+  std::memcpy(image.data() + 1020, &bogus_offset, 2);
+
+  auto reader = NsmPageReader::Open(&schema, image);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+
+  std::vector<const std::byte*> ptrs;
+  auto gathered = NsmPageReader::GatherTuplePointers(&schema, image, &ptrs);
+  ASSERT_FALSE(gathered.ok());
+  EXPECT_EQ(gathered.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(gathered.status().message(), reader.status().message());
+
+  // The intact page gathers exactly the pointers tuple(i) returns.
+  const std::vector<std::byte> good(builder.image().begin(),
+                                    builder.image().end());
+  auto checked = NsmPageReader::Open(&schema, good);
+  ASSERT_TRUE(checked.ok());
+  auto count = NsmPageReader::GatherTuplePointers(&schema, good, &ptrs);
+  ASSERT_TRUE(count.ok());
+  ASSERT_EQ(*count, 2);
+  ASSERT_EQ(ptrs.size(), 2u);
+  EXPECT_EQ(ptrs[0], checked->tuple(0));
+  EXPECT_EQ(ptrs[1], checked->tuple(1));
+}
+
 TEST(NsmPageTest, CapacityAccountsForSlots) {
   const Schema schema = TestSchema();  // 28-byte tuples
   NsmPageBuilder builder(&schema, 1024);
